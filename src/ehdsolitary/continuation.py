@@ -32,9 +32,11 @@ from .newton import (
     NewtonConfig,
     NewtonError,
     SingularLinearSolve,
+    _use_dense,
     build_solution,
     dense_jacobian,
     newton_solve,
+    solve_newton_step,
 )
 from .spectral import cosine_coefficients, values_from_cosine
 from .system import alpha_derivative, lambda_min, residual, surface_gradient_bounds
@@ -212,8 +214,16 @@ def _bordered_newton(t_pred, alpha_pred, c_coeff, c_alpha, p0: BaseParams,
                      g: Grid, cfg: NewtonConfig):
     """Newton on the residual augmented with the arclength constraint
     <c, a - a_pred> + c_alpha (alpha - alpha_pred) = 0.  Returns
-    (WaveSolution, iterations)."""
+    (WaveSolution, iterations).
+
+    The linear path follows newton_solve's rule: up to dense_max_n (or with
+    linear_solver="dense") the dense bordered Jacobian is LU-factored and the
+    factorization reused while the residual keeps shrinking fast; above it
+    (or with linear_solver="krylov") every step is one preconditioned GMRES
+    solve on the bordered operator, matrix-free (solve_newton_step).
+    """
     m = g.n_modes
+    dense = _use_dense(cfg, g)
     a_pred = cosine_coefficients(t_pred, g)
     a = a_pred.copy()
     alpha = float(alpha_pred)
@@ -238,33 +248,39 @@ def _bordered_newton(t_pred, alpha_pred, c_coeff, c_alpha, p0: BaseParams,
         raise _CorrectorFailure("predictor left the admissible set")
     t, p, r, n_val, norm = state
 
-    # frozen factorization: assembled on the first iteration and reused while
-    # the residual keeps shrinking fast; refreshed on slow progress or when
-    # damping stalls
+    # frozen factorization (dense path): assembled on the first iteration and
+    # reused while the residual keeps shrinking fast; refreshed on slow
+    # progress or when damping stalls.  Krylov steps are always fresh.
     lu_cache = None
     fresh = False
     last_norm = None
     for it in range(cfg.max_iter):
         if norm <= cfg.tol:
             return build_solution(t, p, g, cfg.tol), it
-        if lu_cache is None or (last_norm is not None and norm > 0.25 * last_norm):
-            jac = dense_jacobian(t, p, g)
+        if dense:
+            if lu_cache is None or (last_norm is not None
+                                    and norm > 0.25 * last_norm):
+                big = np.zeros((m + 1, m + 1))
+                big[:m, :m] = dense_jacobian(t, p, g)
+                big[:m, m] = cosine_coefficients(alpha_derivative(t, p, g), g)
+                big[m, :m] = c_coeff
+                big[m, m] = c_alpha
+                try:
+                    lu_cache = lu_factor(big)
+                except (np.linalg.LinAlgError, ValueError) as exc:
+                    raise SingularLinearSolve(
+                        f"bordered factorization failed: {exc}") from exc
+                fresh = True
+            rhs = np.concatenate([-cosine_coefficients(r, g), [-n_val]])
+            delta = lu_solve(lu_cache, rhs)
+            if not np.all(np.isfinite(delta)):
+                raise SingularLinearSolve("bordered solve produced non-finite update")
+        else:
             b = cosine_coefficients(alpha_derivative(t, p, g), g)
-            big = np.zeros((m + 1, m + 1))
-            big[:m, :m] = jac
-            big[:m, m] = b
-            big[m, :m] = c_coeff
-            big[m, m] = c_alpha
-            try:
-                lu_cache = lu_factor(big)
-            except (np.linalg.LinAlgError, ValueError) as exc:
-                raise SingularLinearSolve(
-                    f"bordered factorization failed: {exc}") from exc
+            dt, d_alpha = solve_newton_step(t, r, p, g, cfg,
+                                            border=(b, c_coeff, c_alpha, n_val))
+            delta = np.append(cosine_coefficients(dt, g), d_alpha)
             fresh = True
-        rhs = np.concatenate([-cosine_coefficients(r, g), [-n_val]])
-        delta = lu_solve(lu_cache, rhs)
-        if not np.all(np.isfinite(delta)):
-            raise SingularLinearSolve("bordered solve produced non-finite update")
         last_norm = norm
 
         step, accepted = 1.0, False

@@ -1,9 +1,13 @@
 """Damped Newton solver for the surface equation at fixed parameters.
 
 The unknown is an even trace, represented by its cosine coefficients for the
-linear solves.  Two linear paths: a dense collocation Jacobian (deterministic,
-default for N <= 1024) and preconditioned GMRES using the uniform-stream
-multiplier as the preconditioner.
+linear solves.  Two linear paths, chosen by NewtonConfig.linear_solver and
+dense_max_n for this solver and the pseudo-arclength corrector alike: a dense
+collocation Jacobian with LU (deterministic, default for N <= 1024) and
+preconditioned GMRES using the uniform-stream multiplier as the
+preconditioner.  Above dense_max_n the corrector's bordered step (the
+Jacobian augmented with the alpha column and the arclength row) is solved by
+the same GMRES call, matrix-free.
 """
 from __future__ import annotations
 
@@ -20,8 +24,6 @@ from .system import (
     lambda_min,
     linear_multiplier,
     residual,
-    three_component_jacobian_apply,
-    three_component_residual,
 )
 
 
@@ -62,6 +64,16 @@ class NewtonConfig:
             raise ValueError("tol must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if not 0.0 < self.damping < 1.0:
+            raise ValueError("damping must lie in (0, 1)")
+        if not self.min_step > 0:
+            raise ValueError("min_step must be > 0")
+        if not self.krylov_rtol > 0:
+            raise ValueError("krylov_rtol must be > 0")
+        if self.krylov_maxiter < 1:
+            raise ValueError("krylov_maxiter must be >= 1")
+        if self.dense_max_n < 16:
+            raise ValueError("dense_max_n must be >= 16")
         if self.linear_solver not in ("auto", "dense", "krylov"):
             raise ValueError("linear_solver must be auto, dense or krylov")
 
@@ -108,11 +120,21 @@ def _use_dense(cfg: NewtonConfig, g: Grid) -> bool:
 
 
 def solve_newton_step(t1: np.ndarray, r: np.ndarray, p: Params, g: Grid,
-                      cfg: NewtonConfig) -> np.ndarray:
-    """Solve J dt = -r for the correction trace."""
+                      cfg: NewtonConfig, border=None):
+    """Solve J dt = -r for the correction trace.
+
+    With border = (b, c, c_alpha, n_val) it solves the bordered system
+        [J  b      ] [da    ]     [r    ]
+        [c  c_alpha] [dalpha] = - [n_val]
+    instead, where b holds the cosine coefficients of dR/dalpha and the last
+    row is the arclength constraint, and returns (dt, dalpha).  A bordered
+    step always takes the Krylov path, preconditioned by diag(1/|m(k)|, 1);
+    its dense counterpart keeps a frozen factorization in the corrector.  The
+    bordered operator stays invertible at an alpha fold, where J is singular.
+    """
     m = g.n_modes
     rhs = -cosine_coefficients(r, g)
-    if _use_dense(cfg, g):
+    if border is None and _use_dense(cfg, g):
         jac = dense_jacobian(t1, p, g)
         try:
             sol = np.linalg.solve(jac, rhs)
@@ -124,17 +146,29 @@ def solve_newton_step(t1: np.ndarray, r: np.ndarray, p: Params, g: Grid,
 
     diag = _preconditioner(p, g)
 
-    def matvec(a):
+    def jac_coeffs(a):
         return cosine_coefficients(
             jacobian_apply(t1, values_from_cosine(a, g), p, g), g)
 
-    op = LinearOperator((m, m), matvec=matvec)
-    pre = LinearOperator((m, m), matvec=lambda a: diag * a)
+    matvec = jac_coeffs
+    if border is not None:
+        b, c, c_alpha, n_val = border
+        diag = np.append(diag, 1.0)
+        rhs = np.append(rhs, -n_val)
+
+        def matvec(x):
+            return np.append(jac_coeffs(x[:m]) + b * x[m],
+                             c @ x[:m] + c_alpha * x[m])
+
+    size = rhs.size
+    op = LinearOperator((size, size), matvec=matvec)
+    pre = LinearOperator((size, size), matvec=lambda a: diag * a)
     sol, info = gmres(op, rhs, rtol=cfg.krylov_rtol, atol=0.0,
                       maxiter=cfg.krylov_maxiter, M=pre)
     if info != 0 or not np.all(np.isfinite(sol)):
         raise SingularLinearSolve(f"preconditioned GMRES failed (info={info})")
-    return values_from_cosine(sol, g)
+    dt = values_from_cosine(sol[:m], g)
+    return dt if border is None else (dt, float(sol[m]))
 
 
 def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
@@ -197,76 +231,3 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
     raise NoConvergence(
         f"iteration budget exhausted at residual {norm:.3e}",
         best_t1=t, history=history)
-
-
-# --- full three-component solve (elimination cross-check) -------------------
-
-def newton_solve_three_component(t1_init, p: Params, g: Grid,
-                                 cfg: NewtonConfig = NewtonConfig()):
-    """Newton on the full system with the stream and electric traces kept as
-    unknowns.  Returns (t1, t2, t3, history).  Dense only; intended as an
-    oracle at moderate N."""
-    m = g.n_modes
-    basis = cosine_basis(g)
-    zero = np.zeros_like(basis)
-
-    t1 = symmetrize(np.array(t1_init, dtype=float))
-    t2 = np.zeros_like(t1)
-    t3 = np.zeros_like(t1)
-
-    def full_residual(u1, u2, u3):
-        r1, r2, r3 = three_component_residual(u1, u2, u3, p, g)
-        return np.concatenate([cosine_coefficients(r1, g),
-                               cosine_coefficients(r2, g),
-                               cosine_coefficients(r3, g)])
-
-    def sup_norm(u1, u2, u3):
-        r1, r2, r3 = three_component_residual(u1, u2, u3, p, g)
-        return max(float(np.max(np.abs(r))) for r in (r1, r2, r3))
-
-    norm = sup_norm(t1, t2, t3)
-    history = [norm]
-    for _ in range(cfg.max_iter):
-        if norm <= cfg.tol:
-            return t1, t2, t3, history
-        jac = np.zeros((3 * m, 3 * m))
-        for j, (d1, d2, d3) in enumerate(((basis, zero, zero),
-                                          (zero, basis, zero),
-                                          (zero, zero, basis))):
-            dr1, dr2, dr3 = three_component_jacobian_apply(
-                t1, t2, t3, d1, d2, d3, p, g)
-            block = np.vstack([cosine_coefficients(dr1, g).T,
-                               cosine_coefficients(dr2, g).T,
-                               cosine_coefficients(dr3, g).T])
-            jac[:, j * m:(j + 1) * m] = block
-        try:
-            upd = np.linalg.solve(jac, -full_residual(t1, t2, t3))
-        except np.linalg.LinAlgError as exc:
-            raise SingularLinearSolve(str(exc)) from exc
-        du1 = values_from_cosine(upd[:m], g)
-        du2 = values_from_cosine(upd[m:2 * m], g)
-        du3 = values_from_cosine(upd[2 * m:], g)
-
-        step, accepted = 1.0, False
-        while step >= cfg.min_step:
-            c1 = symmetrize(t1 + step * du1)
-            c2 = symmetrize(t2 + step * du2)
-            c3 = symmetrize(t3 + step * du3)
-            try:
-                normc = sup_norm(c1, c2, c3)
-            except NonFiniteTrace:
-                step *= cfg.damping
-                continue
-            if normc < norm:
-                t1, t2, t3, norm = c1, c2, c3, normc
-                history.append(norm)
-                accepted = True
-                break
-            step *= cfg.damping
-        if not accepted:
-            raise NoConvergence(
-                f"three-component damping stalled at {norm:.3e}", history=history)
-    if norm <= cfg.tol:
-        return t1, t2, t3, history
-    raise NoConvergence(
-        f"three-component budget exhausted at {norm:.3e}", history=history)

@@ -2,23 +2,28 @@
 right-hand side, its explicit localized orbit, an energy-conserving RK4 check
 integrator, and phase-portrait sampling.
 
-In scaled variables the truncated system is
-    Q' = P,   P' = 3 Q - c2 Q^2,       c2 = (3/2)(3 - 3 gamma + gamma^2 + eps1),
+In the scaled variables a = eps Q, x = sqrt((1 + eps1)/eps) X of the
+long-wave reduction (see continuation.small_amplitude_coefficients) the
+truncated system is
+    Q' = P,   P' = 3 Q - c2 Q^2,    c2 = (3/2)(3 - 3 gamma + gamma^2 + 3 eps1),
 with first integral
     E = P^2/2 - (3/2) Q^2 + (c2/3) Q^3
 (obtained by multiplying the equation by Q' and integrating).  The separatrix
-through (q0, 0), q0 = 3/c2 * (3/2) ... = 3/(3 - 3 gamma + gamma^2 + eps1), is
-the localized sech^2 orbit; only the second-order truncation is implemented
-and the truncation order is recorded on every orbit.
+through (q0, 0), q0 = 9/(2 c2) = 3/(3 - 3 gamma + gamma^2 + 3 eps1), is the
+localized sech^2 orbit, and q0 is the crest prefactor of the small-amplitude
+family; only the second-order truncation is implemented and the truncation
+order is recorded on every orbit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .model import ValidationError
+from .continuation import small_amplitude_coefficients
+from .model import BaseParams, ValidationError
 
 TRUNCATION_ORDER = 2  # quadratic truncation of the reduced right-hand side
 
@@ -38,19 +43,21 @@ class OdeParams:
         # positive for every real gamma once eps1 >= 0
         assert self.denom > 0
 
+    @cached_property
+    def q0(self) -> float:
+        """Crest value of the localized orbit in scaled variables: the crest
+        prefactor of the small-amplitude family."""
+        return small_amplitude_coefficients(BaseParams(self.gamma, self.eps1))[0]
+
     @property
     def denom(self) -> float:
-        return 3.0 - 3.0 * self.gamma + self.gamma ** 2 + self.eps1
+        """3 - 3 gamma + gamma^2 + 3 eps1."""
+        return 3.0 / self.q0
 
-    @property
+    @cached_property
     def c2(self) -> float:
-        """Coefficient of the quadratic term, (3/2)(3 - 3 gamma + gamma^2 + eps1)."""
+        """Coefficient of the quadratic term, (3/2)(3 - 3 gamma + gamma^2 + 3 eps1)."""
         return 1.5 * self.denom
-
-    @property
-    def q0(self) -> float:
-        """Crest value of the localized orbit in scaled variables."""
-        return 3.0 / self.denom
 
 
 def f_reduced(a: float, b: float, eps: float, p: OdeParams) -> float:

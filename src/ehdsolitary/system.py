@@ -5,8 +5,8 @@ The stream correction t2 and the electric correction t3 are eliminated
 analytically: the kinematic surface condition forces
 t2 = -gamma t1 - (gamma/2) t1^2 pointwise, and in conformal variables the
 electric potential problem is solved exactly by the linear profile, so t3
-and its normal derivative vanish identically.  The three-component form is
-retained as a cross-check oracle (three_component_residual).
+and its normal derivative vanish identically.  The three-component form,
+which keeps both as unknowns, is a test oracle (tests/three_component.py).
 """
 from __future__ import annotations
 
@@ -174,53 +174,3 @@ def surface_gradient_bounds(t1: np.ndarray, p: Params, g: Grid):
     grad = np.sqrt(ddx(t1, g) ** 2 + (1.0 + dtn(t1, g)) ** 2)
     m1 = float(np.min(1.0 + p.eps1 - 2.0 * p.alpha * t1))
     return m1, float(np.min(grad)), float(np.max(grad))
-
-
-# --- three-component oracle -------------------------------------------------
-
-def three_component_residual(t1, t2, t3, p: Params, g: Grid):
-    """Residual of the full system keeping the stream and electric traces as
-    unknowns.  Used as a cross-check of the analytic elimination."""
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    t3 = np.asarray(t3, dtype=float)
-    w1x = ddx(t1, g)
-    w1y = dtn(t1, g)
-    w2y = dtn(t2, g)
-    w3y = dtn(t3, g)
-    r1 = t2 + p.gamma * t1 + 0.5 * p.gamma * t1 * t1
-    stream = p.gamma * (t1 + w1y + t1 * w1y) + w2y + 1.0
-    r2 = (stream * stream
-          + p.eps1 * (2.0 * w3y + w3y * w3y + 1.0)
-          - (1.0 + p.eps1 - 2.0 * p.alpha * t1) * (w1x * w1x + (1.0 + w1y) ** 2))
-    r3 = t3.copy()
-    for r in (r1, r2, r3):
-        _require_finite(r, "three-component residual")
-    return r1, r2, r3
-
-
-def three_component_jacobian_apply(t1, t2, t3, dt1, dt2, dt3, p: Params, g: Grid):
-    """Directional derivative of three_component_residual; batched over
-    leading axes of the direction triple."""
-    gam = p.gamma
-    w1x = ddx(t1, g)
-    w1y = dtn(t1, g)
-    w2y = dtn(t2, g)
-    w3y = dtn(t3, g)
-    stream = gam * (t1 + w1y + t1 * w1y) + w2y + 1.0
-    gradsq = w1x * w1x + (1.0 + w1y) ** 2
-    stag = 1.0 + p.eps1 - 2.0 * p.alpha * t1
-
-    d1x = ddx(dt1, g)
-    h1 = dtn(dt1, g)
-    h2 = dtn(dt2, g)
-    h3 = dtn(dt3, g)
-    dr1 = dt2 + gam * dt1 + gam * t1 * dt1
-    dstream = gam * (dt1 + h1 + dt1 * w1y + t1 * h1) + h2
-    dgradsq = 2.0 * w1x * d1x + 2.0 * (1.0 + w1y) * h1
-    dr2 = (2.0 * stream * dstream
-           + p.eps1 * (2.0 * h3 + 2.0 * w3y * h3)
-           + 2.0 * p.alpha * dt1 * gradsq
-           - stag * dgradsq)
-    dr3 = np.asarray(dt3, dtype=float).copy()
-    return dr1, dr2, dr3

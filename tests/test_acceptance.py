@@ -35,11 +35,12 @@ from ehdsolitary import (
 )
 from ehdsolitary.cli import _auto_half_length
 from ehdsolitary.continuation import admissible_triggers, small_amplitude_coefficients
-from ehdsolitary.newton import build_solution, newton_solve_three_component
+from ehdsolitary.newton import build_solution
 from ehdsolitary.reduced_ode import homoclinic_slope
 from ehdsolitary.spectral import dtn, dtn_multiplier
 
 from helpers import random_even_trace
+from three_component import newton_solve_three_component
 
 
 def report(criterion: str, passed: bool, detail: str = ""):

@@ -13,14 +13,18 @@ from ehdsolitary import (
     continue_branch,
     init_small,
     make_grid,
+    newton_solve,
+    nodal_check,
 )
 from ehdsolitary.continuation import (
+    _bordered_newton,
     admissible_triggers,
     refine_grid,
     shrink_grid,
     small_amplitude_coefficients,
     widen_grid,
 )
+from ehdsolitary.spectral import cosine_coefficients
 from helpers import random_even_trace
 
 
@@ -184,6 +188,62 @@ class TestContinueBranch:
         br, base = short_branch
         assert br.thresholds["m1_tol"] == pytest.approx(1e-2 * (1 + base.eps1))
         assert br.thresholds["max_points"] == 12
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.4])
+def test_bordered_krylov_step_matches_dense(gamma):
+    # one arclength corrector solve from the same predictor: the dense LU
+    # path and the matrix-free bordered GMRES path land on the same point
+    base = BaseParams(gamma, 0.5)
+    g = make_grid(256.0, 512)
+    eps = 0.02
+    t0, p = init_small(eps, base, g)
+    sol = newton_solve(t0, p, g, NewtonConfig())
+    d_eps = 1e-3 * eps
+    tan_t = (init_small(eps + d_eps, base, g)[0] - t0) / d_eps
+    tan_a = -1.0
+    scale = float(np.max(np.abs(tan_t))) + abs(tan_a)
+    tan_t, tan_a = tan_t / scale, tan_a / scale
+    c = cosine_coefficients(tan_t, g)
+    c_norm = float(np.sqrt(c @ c + tan_a * tan_a))
+    ds = 5e-3
+    out = {}
+    for solver in ("dense", "krylov"):
+        out[solver], _ = _bordered_newton(
+            sol.t1 + ds * tan_t, p.alpha + ds * tan_a, c / c_norm,
+            tan_a / c_norm, base, g, NewtonConfig(linear_solver=solver))
+    dense, krylov = out["dense"], out["krylov"]
+    assert dense.params.alpha < p.alpha
+    assert abs(krylov.params.alpha - dense.params.alpha) < 1e-9
+    assert np.max(np.abs(krylov.t1 - dense.t1)) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def krylov_branch():
+    base = BaseParams(0.0, 0.5)
+    g = make_grid(704.0, 1024)
+    newton = NewtonConfig(linear_solver="krylov")
+    return continue_branch(base, g, ContinuationConfig(max_points=12, newton=newton)), base
+
+
+class TestKrylovBranch:
+    """The short_branch invariants on a branch whose every linear solve,
+    bordered corrector steps included, is preconditioned GMRES."""
+
+    def test_amplitude_strictly_increasing(self, krylov_branch):
+        br, _ = krylov_branch
+        assert br.stop_reason == "BUDGET" and len(br.points) == 12
+        amps = [p.amplitude for p in br.points]
+        assert all(b > a for a, b in zip(amps, amps[1:]))
+
+    def test_subcritical_along_branch(self, krylov_branch):
+        br, base = krylov_branch
+        assert all(p.alpha < base.alpha_cr for p in br.points)
+        assert all(p.lambda_min > 0 for p in br.points)
+
+    def test_nodal_along_branch(self, krylov_branch):
+        br, _ = krylov_branch
+        assert all(nodal_check(s).passed for s in br.solutions)
 
 
 class TestClassifyStop:

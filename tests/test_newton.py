@@ -11,8 +11,8 @@ from ehdsolitary import (
     newton_solve,
 )
 from ehdsolitary.model import symmetry_error
-from ehdsolitary.newton import newton_solve_three_component
 from ehdsolitary.system import residual
+from three_component import newton_solve_three_component
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,15 @@ class TestNewtonSolve:
         outer = np.abs(g.x) >= 0.9 * g.half_length
         assert sol.tail == np.max(np.abs(sol.t1[outer]))
         assert sol.tail < 1e-9
+
+
+@pytest.mark.parametrize("field,value", [
+    ("damping", 0.0), ("damping", 1.0), ("min_step", 0.0),
+    ("krylov_rtol", 0.0), ("krylov_maxiter", 0), ("dense_max_n", 15),
+])
+def test_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        NewtonConfig(**{field: value})
 
 
 class TestThreeComponentOracle:

@@ -4,12 +4,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ehdsolitary import (
+    BaseParams,
     OdeParams,
     f_reduced,
     homoclinic_exact,
     integrate_orbit,
     phase_portrait,
 )
+from ehdsolitary.continuation import small_amplitude_coefficients
 from ehdsolitary.reduced_ode import (
     closed_orbit_return,
     energy,
@@ -25,7 +27,17 @@ class TestOdeParams:
 
     def test_crest_substitution(self):
         p = OdeParams(0.5, 0.5)
-        assert p.q0 == pytest.approx(4.0 / 3.0, abs=1e-15)
+        assert p.q0 == pytest.approx(12.0 / 13.0, abs=1e-15)
+
+    @pytest.mark.parametrize("gamma,eps1", [(0.0, 0.5), (0.4, 0.5), (-0.3, 1.0)])
+    def test_crest_is_small_amplitude_prefactor(self, gamma, eps1):
+        # the reduced orbit's crest and init_small's sech^2 prefactor share
+        # the permittivity-corrected denominator 3 - 3 gamma + gamma^2 + 3 eps1
+        p = OdeParams(gamma, eps1)
+        prefactor, _ = small_amplitude_coefficients(BaseParams(gamma, eps1))
+        assert p.q0 == prefactor
+        assert p.c2 == pytest.approx(
+            1.5 * (3.0 - 3.0 * gamma + gamma ** 2 + 3.0 * eps1), rel=1e-15)
 
     @given(gamma=st.floats(-3, 3), eps1=st.floats(0, 5))
     def test_denominator_positive(self, gamma, eps1):
@@ -68,7 +80,7 @@ class TestReducedRhs:
 class TestHomoclinic:
     def test_crest_values(self):
         assert homoclinic_exact(0.0, OdeParams(0.0, 0.0)) == 1.0
-        assert homoclinic_exact(0.0, OdeParams(0.5, 0.5)) == pytest.approx(4 / 3, abs=1e-15)
+        assert homoclinic_exact(0.0, OdeParams(0.5, 0.5)) == pytest.approx(12 / 13, abs=1e-15)
 
     def test_symmetric_decay(self):
         p = OdeParams(0.0, 0.0)
