@@ -25,12 +25,10 @@ from .continuation import (
 from .diagnostics import (
     BoundsReport,
     DegenerateJacobian,
-    FieldSample,
     IdentityReport,
     NodalReport,
     ProfilePoint,
     ProfileReport,
-    fields_on_gamma,
     flow_force,
     flow_force_profile,
     flux_identity_check,
@@ -68,8 +66,6 @@ from .reduced_ode import (
 )
 from .spectral import conjugate_primitive, ddx, dtn, eval_interior, eval_interior_dy
 from .system import (
-    TraceBundle,
-    assemble_traces,
     dispersion_root,
     jacobian_apply,
     lambda_min,

@@ -20,6 +20,7 @@ from .continuation import (
     classify_stop,
     continue_branch,
     init_small,
+    initializer_decay,
 )
 from .diagnostics import full_report, hard_violations, physical_profile
 from .io import (
@@ -45,8 +46,7 @@ FIG4_LAUNCHES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 
 def _auto_half_length(eps: float, eps1: float) -> float:
     """Box half-length comfortably holding the localized initializer."""
-    rate = 0.5 * np.sqrt(3.0 * eps / (1.0 + eps1))
-    required = float(np.arccosh(1e5) / rate)
+    required = initializer_decay(eps, BaseParams(0.0, eps1))[1]
     return float(np.ceil(required * 1.25 / 32.0) * 32.0)
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+# unused here: bench/spans.py rebinds continuation.lu_factor, so it must resolve
+from scipy.linalg import lu_factor  # noqa: F401
 
 from .diagnostics import nodal_check
 from .model import (
@@ -26,20 +27,10 @@ from .model import (
     ValidationError,
     WaveSolution,
     make_grid,
-    symmetrize,
 )
-from .newton import (
-    NewtonConfig,
-    NewtonError,
-    SingularLinearSolve,
-    _use_dense,
-    build_solution,
-    dense_jacobian,
-    newton_solve,
-    solve_newton_step,
-)
+from .newton import NewtonConfig, NewtonError, newton_solve
 from .spectral import cosine_coefficients, values_from_cosine
-from .system import alpha_derivative, lambda_min, residual, surface_gradient_bounds
+from .system import lambda_min, surface_gradient_bounds
 
 STOP_REASONS = (
     "M1_VANISHING", "M2_VANISHING", "M3_BLOWUP", "FROUDE_BLOWUP",
@@ -81,6 +72,14 @@ def small_amplitude_coefficients(p0: BaseParams):
     return prefactor, rate
 
 
+def initializer_decay(eps: float, p0: BaseParams):
+    """(sech^2 decay rate, least box half-length with the profile < 1e-10 at
+    the boundary) of the small-amplitude initializer at eps."""
+    rate = 0.5 * small_amplitude_coefficients(p0)[1] * np.sqrt(eps)
+    # sech^2(rate * L) < 1e-10  <=>  L > arccosh(1e5) / rate
+    return rate, float(np.arccosh(1e5) / rate)
+
+
 def init_small(eps: float, p0: BaseParams, g: Grid):
     """Small-amplitude initializer and its parameters.
 
@@ -94,13 +93,10 @@ def init_small(eps: float, p0: BaseParams, g: Grid):
     alpha = p0.alpha_cr - eps
     if alpha <= 0:
         raise ValidationError("eps", f"alpha = alpha_cr - eps = {alpha} must be > 0")
-    prefactor, rate_unit = small_amplitude_coefficients(p0)
-    rate = 0.5 * rate_unit * np.sqrt(eps)
-    # sech^2(rate * L) < 1e-10  <=>  L > arccosh(1e5) / rate
-    required = float(np.arccosh(1e5) / rate)
+    rate, required = initializer_decay(eps, p0)
     if 1.0 / np.cosh(rate * g.half_length) ** 2 >= 1e-10:
         raise GridTooNarrow(required)
-    t1 = (prefactor * eps) / np.cosh(rate * g.x) ** 2
+    t1 = (small_amplitude_coefficients(p0)[0] * eps) / np.cosh(rate * g.x) ** 2
     return t1, p0.with_alpha(alpha)
 
 
@@ -204,110 +200,6 @@ def _inner_tail(t1: np.ndarray, g: Grid) -> float:
     return float(np.max(np.abs(t1[window])))
 
 
-# --- bordered pseudo-arclength corrector -------------------------------------
-
-class _CorrectorFailure(RuntimeError):
-    pass
-
-
-def _bordered_newton(t_pred, alpha_pred, c_coeff, c_alpha, p0: BaseParams,
-                     g: Grid, cfg: NewtonConfig):
-    """Newton on the residual augmented with the arclength constraint
-    <c, a - a_pred> + c_alpha (alpha - alpha_pred) = 0.  Returns
-    (WaveSolution, iterations).
-
-    The linear path follows newton_solve's rule: up to dense_max_n (or with
-    linear_solver="dense") the dense bordered Jacobian is LU-factored and the
-    factorization reused while the residual keeps shrinking fast; above it
-    (or with linear_solver="krylov") every step is one preconditioned GMRES
-    solve on the bordered operator, matrix-free (solve_newton_step).
-    """
-    m = g.n_modes
-    dense = _use_dense(cfg, g)
-    a_pred = cosine_coefficients(t_pred, g)
-    a = a_pred.copy()
-    alpha = float(alpha_pred)
-
-    def admissible(a_vec, al):
-        return 0.0 < al < p0.alpha_cr and np.all(np.isfinite(a_vec))
-
-    if not admissible(a, alpha):
-        raise _CorrectorFailure("predictor outside the admissible parameter slab")
-
-    def evaluate(a_vec, al):
-        t = symmetrize(values_from_cosine(a_vec, g))
-        p = p0.with_alpha(al)
-        if lambda_min(t, p, g) <= 0:
-            return None
-        r = residual(t, p, g)
-        n = float(c_coeff @ (a_vec - a_pred) + c_alpha * (al - alpha_pred))
-        return t, p, r, n, max(float(np.max(np.abs(r))), abs(n))
-
-    state = evaluate(a, alpha)
-    if state is None:
-        raise _CorrectorFailure("predictor left the admissible set")
-    t, p, r, n_val, norm = state
-
-    # frozen factorization (dense path): assembled on the first iteration and
-    # reused while the residual keeps shrinking fast; refreshed on slow
-    # progress or when damping stalls.  Krylov steps are always fresh.
-    lu_cache = None
-    fresh = False
-    last_norm = None
-    for it in range(cfg.max_iter):
-        if norm <= cfg.tol:
-            return build_solution(t, p, g, cfg.tol), it
-        if dense:
-            if lu_cache is None or (last_norm is not None
-                                    and norm > 0.25 * last_norm):
-                big = np.zeros((m + 1, m + 1))
-                big[:m, :m] = dense_jacobian(t, p, g)
-                big[:m, m] = cosine_coefficients(alpha_derivative(t, p, g), g)
-                big[m, :m] = c_coeff
-                big[m, m] = c_alpha
-                try:
-                    lu_cache = lu_factor(big)
-                except (np.linalg.LinAlgError, ValueError) as exc:
-                    raise SingularLinearSolve(
-                        f"bordered factorization failed: {exc}") from exc
-                fresh = True
-            rhs = np.concatenate([-cosine_coefficients(r, g), [-n_val]])
-            delta = lu_solve(lu_cache, rhs)
-            if not np.all(np.isfinite(delta)):
-                raise SingularLinearSolve("bordered solve produced non-finite update")
-        else:
-            b = cosine_coefficients(alpha_derivative(t, p, g), g)
-            dt, d_alpha = solve_newton_step(t, r, p, g, cfg,
-                                            border=(b, c_coeff, c_alpha, n_val))
-            delta = np.append(cosine_coefficients(dt, g), d_alpha)
-            fresh = True
-        last_norm = norm
-
-        step, accepted = 1.0, False
-        while step >= cfg.min_step:
-            a_c = a + step * delta[:m]
-            al_c = alpha + step * delta[m]
-            if admissible(a_c, al_c):
-                state = evaluate(a_c, al_c)
-                if state is not None and state[4] < norm:
-                    a, alpha = a_c, al_c
-                    t, p, r, n_val, norm = state
-                    accepted = True
-                    break
-            step *= cfg.damping
-        if accepted:
-            fresh = False
-            continue
-        if not fresh:
-            lu_cache = None       # stalled on a stale Jacobian; retry fresh
-            last_norm = None
-            continue
-        raise _CorrectorFailure(f"corrector damping stalled at {norm:.3e}")
-    if norm <= cfg.tol:
-        return build_solution(t, p, g, cfg.tol), cfg.max_iter
-    raise _CorrectorFailure(f"corrector budget exhausted at {norm:.3e}")
-
-
 # --- the branch driver --------------------------------------------------------
 
 def _distance(t_a, alpha_a, t_b, alpha_b) -> float:
@@ -371,7 +263,7 @@ def continue_branch(p0: BaseParams, g: Grid,
             if sol.tail > cfg.tail_tol:
                 (probe,), g_probe = widen_grid([sol.t1], g_cur, cfg.widen_factor)
                 if g_probe.n_points > cfg.n_max:
-                    raise _CorrectorFailure(
+                    raise NewtonError(
                         f"tail {sol.tail:.2e} above tolerance but the mode "
                         f"budget n_max={cfg.n_max} is exhausted")
                 move_stored(lambda ts: widen_grid(ts, g_cur, cfg.widen_factor)[0])
@@ -393,7 +285,7 @@ def continue_branch(p0: BaseParams, g: Grid,
                         pass
                     g_cur, prev, prev2 = g_old, prev_old, prev2_old
             return sol, iters
-        raise _CorrectorFailure("box adaptation did not settle within 8 rounds")
+        raise NewtonError("box adaptation did not settle within 8 rounds")
 
     def accept(sol: WaveSolution) -> bool:
         """Record a converged point; returns False when the branch must stop."""
@@ -436,7 +328,7 @@ def continue_branch(p0: BaseParams, g: Grid,
     t_init, p = init_small(eps, p0, g_cur)
     try:
         sol, _ = converge_adequate(t_init, p)
-    except (NewtonError, _CorrectorFailure) as exc:
+    except NewtonError as exc:
         raise NewtonError(f"branch start failed at eps={eps}: {exc}") from exc
     accept(sol)
 
@@ -456,7 +348,7 @@ def continue_branch(p0: BaseParams, g: Grid,
             try:
                 t_pred, p_new = init_small(eps_new, p0, g_cur)
                 sol, iters = converge_adequate(t_pred, p_new)
-            except (NewtonError, _CorrectorFailure, ValidationError):
+            except (NewtonError, ValidationError):
                 stage = "arc"
                 continue
             if not accept(sol):
@@ -497,14 +389,16 @@ def continue_branch(p0: BaseParams, g: Grid,
             t_pred = prev[0] + ds * tan_t
             a_pred = prev[1] + ds * tan_a
             try:
-                sol, iters = _bordered_newton(
-                    t_pred, a_pred, c_coeff, c_alpha, p0, g_cur, cfg.newton)
-            except (_CorrectorFailure, NewtonError):
+                # with_alpha raises ValidationError for a_pred <= 0
+                sol = newton_solve(t_pred, p0.with_alpha(a_pred), g_cur,
+                                   cfg.newton, tangent=(c_coeff, c_alpha))
+            except (NewtonError, ValidationError):
                 ds *= cfg.ds_shrink
                 continue
+            iters = len(sol.norm_history) - 1
             try:
                 sol, iters2 = converge_adequate(sol.t1, sol.params)
-            except (NewtonError, _CorrectorFailure) as exc:
+            except NewtonError as exc:
                 stop_reason = "STEP_FAILURE"
                 note = f"box adaptation failed: {exc}"
                 stepped = True

@@ -23,16 +23,6 @@ class DegenerateJacobian(ArithmeticError):
     """|grad eta|^2 fell below 1e-14 somewhere; field formulas are unusable."""
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    x: float
-    y: float
-    u: float
-    v: float
-    e1: float
-    e2: float
-
-
 def _surface_arrays(sol: WaveSolution):
     """(eta, eta_x, eta_y, zeta_x, zeta_y) on the surface."""
     p, g, t1 = sol.params, sol.grid, sol.t1
@@ -62,17 +52,6 @@ def gamma_field_arrays(sol: WaveSolution):
     e1 = -eta_x / gradsq
     e2 = eta_y / gradsq
     return u, v, e1, e2
-
-
-def fields_on_gamma(sol: WaveSolution) -> list:
-    """FieldSample at every surface collocation point."""
-    if lambda_min(sol.t1, sol.params, sol.grid) <= 0:
-        raise DegenerateJacobian("admissibility quantity is non-positive")
-    u, v, e1, e2 = gamma_field_arrays(sol)
-    x = sol.grid.x
-    return [FieldSample(x=float(x[j]), y=1.0, u=float(u[j]), v=float(v[j]),
-                        e1=float(e1[j]), e2=float(e2[j]))
-            for j in range(sol.grid.n_points)]
 
 
 def bernoulli_field_residual(sol: WaveSolution) -> float:

@@ -1,25 +1,28 @@
-"""Damped Newton solver for the surface equation at fixed parameters.
+"""The package's one damped Newton iteration, for the surface equation at
+fixed alpha and, bordered by an arclength row, as the pseudo-arclength
+corrector.
 
 The unknown is an even trace, represented by its cosine coefficients for the
 linear solves.  Two linear paths, chosen by NewtonConfig.linear_solver and
-dense_max_n for this solver and the pseudo-arclength corrector alike: a dense
-collocation Jacobian with LU (deterministic, default for N <= 1024) and
-preconditioned GMRES using the uniform-stream multiplier as the
-preconditioner.  Above dense_max_n the corrector's bordered step (the
+dense_max_n: a dense collocation Jacobian with LU (deterministic, default for
+N <= 1024) and preconditioned GMRES using the uniform-stream multiplier as
+the preconditioner.  Above dense_max_n the corrector's bordered step (the
 Jacobian augmented with the alpha column and the arclength row) is solved by
 the same GMRES call, matrix-free.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .model import Grid, Params, WaveSolution, amplitude_of, symmetrize, tail_of
 from .spectral import cosine_basis, cosine_coefficients, values_from_cosine
 from .system import (
     NonFiniteTrace,
+    alpha_derivative,
     jacobian_apply,
     lambda_min,
     linear_multiplier,
@@ -111,6 +114,18 @@ def _preconditioner(p: Params, g: Grid) -> np.ndarray:
     return 1.0 / np.maximum(m, floor)
 
 
+def _bordered_lu(t1: np.ndarray, p: Params, g: Grid, c: np.ndarray,
+                 c_alpha: float):
+    """LU factorization of the dense bordered Jacobian [J b; c c_alpha]."""
+    b = cosine_coefficients(alpha_derivative(t1, p, g), g)
+    big = np.block([[dense_jacobian(t1, p, g), b[:, None]],
+                    [c[None, :], np.array([[c_alpha]])]])
+    try:
+        return lu_factor(big)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SingularLinearSolve(f"bordered factorization failed: {exc}") from exc
+
+
 def _use_dense(cfg: NewtonConfig, g: Grid) -> bool:
     if cfg.linear_solver == "dense":
         return True
@@ -129,7 +144,7 @@ def solve_newton_step(t1: np.ndarray, r: np.ndarray, p: Params, g: Grid,
     instead, where b holds the cosine coefficients of dR/dalpha and the last
     row is the arclength constraint, and returns (dt, dalpha).  A bordered
     step always takes the Krylov path, preconditioned by diag(1/|m(k)|, 1);
-    its dense counterpart keeps a frozen factorization in the corrector.  The
+    its dense counterpart is the frozen bordered LU in newton_solve.  The
     bordered operator stays invertible at an alpha fold, where J is singular.
     """
     m = g.n_modes
@@ -172,12 +187,24 @@ def solve_newton_step(t1: np.ndarray, r: np.ndarray, p: Params, g: Grid,
 
 
 def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
-                 cfg: NewtonConfig = NewtonConfig()) -> WaveSolution:
-    """Damped Newton iteration on the surface equation at fixed alpha.
+                 cfg: NewtonConfig = NewtonConfig(),
+                 tangent: tuple | None = None) -> WaveSolution:
+    """Damped Newton iteration on the surface equation, at fixed alpha or,
+    with tangent = (c, c_alpha), as the pseudo-arclength corrector.
 
-    Every iterate is re-symmetrized to even; candidates with lambda <= 0 or a
-    residual increase are rejected by backtracking.  Deterministic on the
-    dense path.
+    With a tangent alpha is an unknown too, held by the arclength row
+    <c, a - a0> + c_alpha (alpha - alpha0) = 0 through the initial point
+    (a: cosine coefficients of the trace), and the merit is max(|R|, |row|).
+    Every iterate is re-symmetrized to even; candidates with lambda <= 0,
+    alpha outside (0, alpha_cr) or no merit decrease are rejected by
+    backtracking.  Deterministic on the dense path.
+
+    The dense path has two Jacobian-refresh policies.  A fixed-alpha solve
+    refactors every step: a frozen Jacobian loses its quadratic tail.  The
+    corrector reuses the LU of [J dR/dalpha; c c_alpha] while the merit falls
+    4x per step and refreshes it on slower progress or a stall: branch step
+    control keys on the corrector's iteration counts, so refreshing every
+    step would move the branch points and cost more factorizations.
     """
     if not p.alpha < p.alpha_cr:
         raise NewtonError(
@@ -185,46 +212,77 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
     t = symmetrize(np.array(t1_init, dtype=float))
     if not lambda_min(t, p, g) > 0:
         raise LeftAdmissibleSet("initial iterate has lambda <= 0")
+    if tangent is not None:
+        c, c_alpha = tangent
+        a0, alpha0 = cosine_coefficients(t, g), p.alpha
 
-    r = residual(t, p, g)
+    def arclength_row(t_c, alpha):
+        if tangent is None:
+            return 0.0
+        return float(c @ (cosine_coefficients(t_c, g) - a0)
+                     + c_alpha * (alpha - alpha0))
+
+    r, n_val = residual(t, p, g), 0.0
     norm = float(np.max(np.abs(r)))
     history = [norm]
+    lu = None
 
     for _ in range(cfg.max_iter):
         if norm <= cfg.tol:
             return build_solution(t, p, g, cfg.tol, history)
-        dt = solve_newton_step(t, r, p, g, cfg)
+        fresh = True
+        if tangent is None:
+            dt, d_alpha = solve_newton_step(t, r, p, g, cfg), 0.0
+        elif _use_dense(cfg, g):
+            fresh = lu is None or norm > 0.25 * last_norm
+            if fresh:
+                lu = _bordered_lu(t, p, g, c, c_alpha)
+            delta = lu_solve(lu, -np.append(cosine_coefficients(r, g), n_val))
+            if not np.all(np.isfinite(delta)):
+                raise SingularLinearSolve("bordered solve produced non-finite update")
+            dt, d_alpha = values_from_cosine(delta[:-1], g), float(delta[-1])
+        else:
+            b = cosine_coefficients(alpha_derivative(t, p, g), g)
+            dt, d_alpha = solve_newton_step(t, r, p, g, cfg,
+                                            border=(b, c, c_alpha, n_val))
+        last_norm = norm
 
         step = 1.0
-        accepted = False
-        saw_admissible = False
+        accepted = saw_admissible = False
         while step >= cfg.min_step:
+            alpha = p.alpha + step * d_alpha
             try:
                 cand = symmetrize(t + step * dt)
                 if not np.all(np.isfinite(cand)):
                     raise NonFiniteTrace("candidate iterate")
-                if lambda_min(cand, p, g) <= 0:
+                p_c = replace(p, alpha=alpha) if 0.0 < alpha < p.alpha_cr else None
+                if p_c is None or lambda_min(cand, p_c, g) <= 0:
                     step *= cfg.damping
                     continue
                 saw_admissible = True
-                rc = residual(cand, p, g)
+                rc = residual(cand, p_c, g)
             except NonFiniteTrace:
                 step *= cfg.damping
                 continue
-            normc = float(np.max(np.abs(rc)))
+            n_c = arclength_row(cand, alpha)
+            normc = max(float(np.max(np.abs(rc))), abs(n_c))
             if normc < norm:
-                t, r, norm = cand, rc, normc
+                t, p, r, n_val, norm = cand, p_c, rc, n_c, normc
                 history.append(norm)
                 accepted = True
                 break
             step *= cfg.damping
 
-        if not accepted:
-            if not saw_admissible:
-                raise LeftAdmissibleSet(
-                    "no damped step stays in the admissible set (lambda <= 0)")
-            raise NoConvergence(
-                f"damping stalled at residual {norm:.3e}", best_t1=t, history=history)
+        if accepted:
+            continue
+        if not fresh:
+            lu = None             # stalled on a stale Jacobian; retry fresh
+            continue
+        if not saw_admissible:
+            raise LeftAdmissibleSet(
+                "no damped step stays in the admissible set (lambda <= 0)")
+        raise NoConvergence(
+            f"damping stalled at residual {norm:.3e}", best_t1=t, history=history)
 
     if norm <= cfg.tol:
         return build_solution(t, p, g, cfg.tol, history)

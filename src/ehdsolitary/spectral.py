@@ -133,16 +133,22 @@ def conjugate_primitive(t: np.ndarray, g: Grid, mean_tol: float = 1e-3) -> np.nd
 # An even trace t(x) = sum_n a_n cos(k_n x) is represented by its
 # coefficient vector a of length N/2 + 1.  Used by the dense Newton path.
 
-def cosine_coefficients(t: np.ndarray, g: Grid) -> np.ndarray:
-    """Cosine coefficients a_n of (the even part of) a trace."""
-    t = _check_trace(t, g)
-    c = np.fft.rfft(t, axis=-1).real
+def _cosine_weights(g: Grid) -> np.ndarray:
+    """Per-mode factor w_n (-1)^n mapping rfft real parts to cosine
+    coefficients, with w = 1/N at n = 0 and the Nyquist mode, 2/N between;
+    the (-1)^n moves the phase origin from x = -L to x = 0."""
     n = g.n_points
     w = np.full(g.n_modes, 2.0 / n)
     w[0] = 1.0 / n
     w[-1] = 1.0 / n
     signs = np.where(np.arange(g.n_modes) % 2 == 0, 1.0, -1.0)
-    return c * (w * signs)
+    return w * signs
+
+
+def cosine_coefficients(t: np.ndarray, g: Grid) -> np.ndarray:
+    """Cosine coefficients a_n of (the even part of) a trace."""
+    t = _check_trace(t, g)
+    return np.fft.rfft(t, axis=-1).real * _cosine_weights(g)
 
 
 def values_from_cosine(a: np.ndarray, g: Grid) -> np.ndarray:
@@ -150,13 +156,8 @@ def values_from_cosine(a: np.ndarray, g: Grid) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape[-1] != g.n_modes:
         raise ValueError("coefficient length does not match grid")
-    n = g.n_points
-    w = np.full(g.n_modes, 2.0 / n)
-    w[0] = 1.0 / n
-    w[-1] = 1.0 / n
-    signs = np.where(np.arange(g.n_modes) % 2 == 0, 1.0, -1.0)
-    c = a / (w * signs)
-    return np.fft.irfft(c.astype(complex), n=n, axis=-1)
+    c = a / _cosine_weights(g)
+    return np.fft.irfft(c.astype(complex), n=g.n_points, axis=-1)
 
 
 def cosine_basis(g: Grid) -> np.ndarray:

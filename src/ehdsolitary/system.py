@@ -10,8 +10,6 @@ which keeps both as unknowns, is a test oracle (tests/three_component.py).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import brentq
 
@@ -28,38 +26,9 @@ def _require_finite(arr: np.ndarray, label: str) -> None:
         raise NonFiniteTrace(f"non-finite values encountered in {label}")
 
 
-@dataclass(frozen=True, eq=False)
-class TraceBundle:
-    """Surface traces of the unknown and all eliminated quantities."""
-
-    t1: np.ndarray
-    w1x: np.ndarray
-    w1y: np.ndarray
-    t2: np.ndarray
-    w2y: np.ndarray
-    w3: np.ndarray
-    w3y: np.ndarray
-
-
 def eliminated_t2(t1: np.ndarray, p: Params) -> np.ndarray:
     """Stream-trace forced by the kinematic surface condition."""
     return -p.gamma * t1 - 0.5 * p.gamma * t1 * t1
-
-
-def assemble_traces(t1: np.ndarray, p: Params, g: Grid) -> TraceBundle:
-    """Derived traces of a candidate surface unknown; the electric correction
-    fields are exactly zero."""
-    t1 = np.asarray(t1, dtype=float)
-    t2 = eliminated_t2(t1, p)
-    return TraceBundle(
-        t1=t1,
-        w1x=ddx(t1, g),
-        w1y=dtn(t1, g),
-        t2=t2,
-        w2y=dtn(t2, g),
-        w3=np.zeros_like(t1),
-        w3y=np.zeros_like(t1),
-    )
 
 
 def residual(t1: np.ndarray, p: Params, g: Grid) -> np.ndarray:
@@ -78,10 +47,6 @@ def residual(t1: np.ndarray, p: Params, g: Grid) -> np.ndarray:
     out = stream * stream + p.eps1 - (1.0 + p.eps1 - 2.0 * p.alpha * t1) * gradsq
     _require_finite(out, "Bernoulli residual")
     return out
-
-
-def residual_norm(t1: np.ndarray, p: Params, g: Grid) -> float:
-    return float(np.max(np.abs(residual(t1, p, g))))
 
 
 def jacobian_apply(t1: np.ndarray, dt: np.ndarray, p: Params, g: Grid) -> np.ndarray:

@@ -34,7 +34,11 @@ from ehdsolitary import (
     trivial_flow_force,
 )
 from ehdsolitary.cli import _auto_half_length
-from ehdsolitary.continuation import admissible_triggers, small_amplitude_coefficients
+from ehdsolitary.continuation import (
+    _mode_tail_fraction,
+    admissible_triggers,
+    small_amplitude_coefficients,
+)
 from ehdsolitary.newton import build_solution
 from ehdsolitary.reduced_ode import homoclinic_slope
 from ehdsolitary.spectral import dtn, dtn_multiplier
@@ -290,6 +294,22 @@ def test_a11_end_to_end_branch(default_branch):
            f"{len(branch.points)} points, stop={stop}"
            + (f" ({branch.note})" if branch.note else "")
            + f", amplitude [{amps[0]:.2e} .. {amps[-1]:.3f}]")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="once refining would pass n_max the branch accepts points whose "
+           "cosine spectrum fails mode_tail_tol (points 47-50 of the default "
+           "branch); see ROADMAP item 3")
+def test_accepted_points_meet_mode_tail(default_branch):
+    """Every accepted point of the default branch meets the spectral-tail
+    part of the adequacy contract."""
+    branch, _ = default_branch
+    tol = ContinuationConfig().mode_tail_tol
+    bad = {i: _mode_tail_fraction(sol.t1, sol.grid)
+           for i, sol in enumerate(branch.solutions)
+           if _mode_tail_fraction(sol.t1, sol.grid) > tol}
+    assert not bad, f"mode tail above {tol:.0e} at {bad}"
 
 
 # ---------------------------------------------------------------- A9

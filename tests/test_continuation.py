@@ -8,6 +8,7 @@ from ehdsolitary import (
     ContinuationConfig,
     GridTooNarrow,
     NewtonConfig,
+    NewtonError,
     ValidationError,
     classify_stop,
     continue_branch,
@@ -16,8 +17,9 @@ from ehdsolitary import (
     newton_solve,
     nodal_check,
 )
+from ehdsolitary import continuation
+from ehdsolitary.cli import _auto_half_length
 from ehdsolitary.continuation import (
-    _bordered_newton,
     admissible_triggers,
     refine_grid,
     shrink_grid,
@@ -190,10 +192,9 @@ class TestContinueBranch:
         assert br.thresholds["max_points"] == 12
 
 
-@pytest.mark.parametrize("gamma", [0.0, 0.4])
-def test_bordered_krylov_step_matches_dense(gamma):
-    # one arclength corrector solve from the same predictor: the dense LU
-    # path and the matrix-free bordered GMRES path land on the same point
+def _corrector_problem(gamma):
+    """A converged small wave at N = 512 and the normalized eps-family
+    tangent there: (base, grid, solution, tan_t, tan_a, c, c_alpha)."""
     base = BaseParams(gamma, 0.5)
     g = make_grid(256.0, 512)
     eps = 0.02
@@ -206,16 +207,66 @@ def test_bordered_krylov_step_matches_dense(gamma):
     tan_t, tan_a = tan_t / scale, tan_a / scale
     c = cosine_coefficients(tan_t, g)
     c_norm = float(np.sqrt(c @ c + tan_a * tan_a))
+    return base, g, sol, tan_t, tan_a, c / c_norm, tan_a / c_norm
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.4])
+def test_bordered_krylov_step_matches_dense(gamma):
+    # one arclength corrector solve from the same predictor: the dense LU
+    # path and the matrix-free bordered GMRES path land on the same point,
+    # on the arclength hyperplane through the predictor
+    base, g, sol, tan_t, tan_a, c, c_alpha = _corrector_problem(gamma)
+    p = sol.params
     ds = 5e-3
+    t_pred, alpha_pred = sol.t1 + ds * tan_t, p.alpha + ds * tan_a
     out = {}
     for solver in ("dense", "krylov"):
-        out[solver], _ = _bordered_newton(
-            sol.t1 + ds * tan_t, p.alpha + ds * tan_a, c / c_norm,
-            tan_a / c_norm, base, g, NewtonConfig(linear_solver=solver))
+        cfg = NewtonConfig(linear_solver=solver)
+        out[solver] = newton_solve(t_pred, base.with_alpha(alpha_pred), g, cfg,
+                                   tangent=(c, c_alpha))
+        row = (c @ (cosine_coefficients(out[solver].t1 - t_pred, g))
+               + c_alpha * (out[solver].params.alpha - alpha_pred))
+        assert abs(row) <= cfg.tol
+        hist = out[solver].norm_history
+        assert len(hist) >= 2 and hist[-1] <= cfg.tol < hist[0]
     dense, krylov = out["dense"], out["krylov"]
     assert dense.params.alpha < p.alpha
     assert abs(krylov.params.alpha - dense.params.alpha) < 1e-9
     assert np.max(np.abs(krylov.t1 - dense.t1)) < 1e-9
+
+
+def test_corrector_rejects_supercritical_predictor():
+    base, g, sol, tan_t, _, c, c_alpha = _corrector_problem(0.0)
+    with pytest.raises(NewtonError):
+        newton_solve(sol.t1 + 5e-3 * tan_t, base.with_alpha(base.alpha_cr), g,
+                     NewtonConfig(), tangent=(c, c_alpha))
+
+
+def test_nonpositive_alpha_predictor_shrinks_step(monkeypatch):
+    # at alpha_cr = 0.1 the first arclength predictor (ds = ds_max / 5 = 0.2)
+    # lands at alpha <= 0; continue_branch must count it as a failed step and
+    # retry at ds_shrink * ds rather than let the ValidationError escape
+    base = BaseParams(0.9, 0.0)
+    cfg = ContinuationConfig(eps_start=0.05, eps_growth=3.0, ds_max=1.0,
+                             max_points=2)
+    g = make_grid(_auto_half_length(cfg.eps_start, base.eps1), 256)
+    predictors = []
+    solve = continuation.newton_solve
+
+    def recording(t1, p, grid, ncfg, tangent=None):
+        if tangent is not None:
+            predictors.append((np.array(t1), p.alpha))
+        return solve(t1, p, grid, ncfg, tangent=tangent)
+
+    monkeypatch.setattr(continuation, "newton_solve", recording)
+    br = continue_branch(base, g, cfg)
+    first = br.solutions[0]
+    t_pred, alpha_pred = predictors[0]
+    ds = float(np.max(np.abs(t_pred - first.t1))) + abs(alpha_pred - first.params.alpha)
+    assert ds == pytest.approx(cfg.ds_max / 5.0 * cfg.ds_shrink, rel=1e-12)
+    # the skipped predictor at twice this step had alpha <= 0
+    assert first.params.alpha + 2.0 * (alpha_pred - first.params.alpha) <= 0.0
+    assert alpha_pred > 0.0
 
 
 @pytest.fixture(scope="module")

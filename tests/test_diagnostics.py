@@ -3,7 +3,6 @@ import pytest
 
 from ehdsolitary import (
     DegenerateJacobian,
-    fields_on_gamma,
     flow_force,
     flow_force_profile,
     flux_identity_check,
@@ -50,11 +49,6 @@ class TestFieldsOnGamma:
         assert np.max(np.abs(v)) < 1e-14
         assert np.max(np.abs(e1)) < 1e-14
         assert np.max(np.abs(e2 - 1.0)) < 1e-14
-
-    def test_sample_list(self, small_wave):
-        samples = fields_on_gamma(small_wave)
-        assert len(samples) == small_wave.grid.n_points
-        assert samples[0].y == 1.0
 
     def test_bernoulli_identity_through_fields(self, small_wave):
         assert bernoulli_field_residual(small_wave) < 1e-8
