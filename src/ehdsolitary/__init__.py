@@ -27,7 +27,6 @@ from .diagnostics import (
     DegenerateJacobian,
     IdentityReport,
     NodalReport,
-    ProfilePoint,
     ProfileReport,
     flow_force,
     flow_force_profile,

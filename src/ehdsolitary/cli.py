@@ -158,9 +158,7 @@ def cmd_solve(args) -> int:
         report = full_report(sol)
         save_solution(out / "solution.json", sol, run_config, report)
         prof = physical_profile(sol)
-        write_plot_columns(out / "profile.dat",
-                           [[pt.X for pt in prof.points],
-                            [pt.Y for pt in prof.points]],
+        write_plot_columns(out / "profile.dat", [prof.X, prof.Y],
                            ["X", "Y"], run_config)
         print(f"wrote {out / 'solution.json'} and {out / 'profile.dat'}")
     return EXIT_OK

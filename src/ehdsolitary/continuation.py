@@ -246,19 +246,22 @@ def continue_branch(p0: BaseParams, g: Grid,
         if prev2 is not None:
             prev2 = (moved[1], prev2[1])
 
-    def converge_adequate(t_init, p: Params):
+    def converge_adequate(t0, p: Params, sol=None):
         """Newton solve plus box adequacy: refine/widen until the spectral
-        band and the tail pass, then optionally shrink an oversized box."""
+        band and the tail pass, then optionally shrink an oversized box.
+        A solution sol already converged at p on g_cur stands in for the
+        first solve, which then counts zero iterations."""
         nonlocal g_cur, prev, prev2
-        t0 = t_init
+        iters = 0
         for _ in range(8):
-            sol = newton_solve(t0, p, g_cur, cfg.newton)
-            iters = len(sol.norm_history) - 1
+            if sol is None:
+                sol = newton_solve(t0, p, g_cur, cfg.newton)
+                iters = len(sol.norm_history) - 1
             if (_mode_tail_fraction(sol.t1, g_cur) > cfg.mode_tail_tol
                     and 2 * g_cur.n_points <= cfg.n_max):
                 (t0,), g_new = refine_grid([sol.t1], g_cur)
                 move_stored(lambda ts: refine_grid(ts, g_cur)[0])
-                g_cur = g_new
+                g_cur, sol = g_new, None
                 continue
             if sol.tail > cfg.tail_tol:
                 (probe,), g_probe = widen_grid([sol.t1], g_cur, cfg.widen_factor)
@@ -267,7 +270,7 @@ def continue_branch(p0: BaseParams, g: Grid,
                         f"tail {sol.tail:.2e} above tolerance but the mode "
                         f"budget n_max={cfg.n_max} is exhausted")
                 move_stored(lambda ts: widen_grid(ts, g_cur, cfg.widen_factor)[0])
-                t0, g_cur = probe, g_probe
+                t0, g_cur, sol = probe, g_probe, None
                 continue
             if (_inner_tail(sol.t1, g_cur) < cfg.shrink_safety * cfg.tail_tol
                     and 0.5 * g_cur.half_length >= cfg.min_half_length):
@@ -397,7 +400,7 @@ def continue_branch(p0: BaseParams, g: Grid,
                 continue
             iters = len(sol.norm_history) - 1
             try:
-                sol, iters2 = converge_adequate(sol.t1, sol.params)
+                sol, iters2 = converge_adequate(sol.t1, sol.params, sol)
             except NewtonError as exc:
                 stop_reason = "STEP_FAILURE"
                 note = f"box adaptation failed: {exc}"

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Params, WaveSolution, symmetry_error
-from .spectral import conjugate_primitive, ddx, dtn, eval_interior, eval_interior_dy
-from .system import eliminated_t2, lambda_min, residual, surface_gradient_bounds
-
-INTERIOR_LEVELS = (0.25, 0.5, 0.75)
+from .spectral import conjugate_primitive, ddx, dtn, harmonic_fields
+from .system import (INTERIOR_LEVELS, eliminated_t2, lambda_min, residual,
+                     surface_gradient_bounds)
 
 
 class DegenerateJacobian(ArithmeticError):
@@ -90,19 +89,17 @@ def _flow_force_all_stations(sol: WaveSolution, n_nodes: int) -> np.ndarray:
     """Flow force evaluated at every collocation station by Gauss-Legendre
     quadrature over the strip height."""
     p, g, t1 = sol.params, sol.grid, sol.t1
-    t2 = eliminated_t2(t1, p)
-    t1x = ddx(t1, g)
-    t2x = ddx(t2, g)
+    t12 = np.stack([t1, eliminated_t2(t1, p)])
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     ys = 0.5 * (nodes + 1.0)            # map to (0, 1)
     ws = 0.5 * weights
 
     total = np.zeros(g.n_points)
     for y, w in zip(ys, ws):
-        eta_x = eval_interior(t1x, g, y)
-        eta_y = 1.0 + eval_interior_dy(t1, g, y)
-        zeta_x = eval_interior(t2x, g, y)
-        zeta_y = (1.0 - p.gamma) + eval_interior_dy(t2, g, y)
+        # one node per call: a call on all nodes holds 3 n_nodes (2, N) fields
+        _, wx, wy = harmonic_fields(t12, g, (y,))
+        eta_x, zeta_x = wx[0]
+        eta_y, zeta_y = 1.0 + wy[0, 0], (1.0 - p.gamma) + wy[0, 1]
         gradsq = eta_x ** 2 + eta_y ** 2
         hydro = (eta_y * (zeta_y ** 2 - zeta_x ** 2)
                  + 2.0 * eta_x * zeta_x * zeta_y) / gradsq
@@ -195,9 +192,9 @@ class NodalReport:
 
 
 def nodal_check(sol: WaveSolution, tail_floor: float = 1e-8,
-                levels=INTERIOR_LEVELS, noise_factor: float = 10.0) -> NodalReport:
+                noise_factor: float = 10.0) -> NodalReport:
     """Strict decrease of the surface unknown on 0 < x < x_tail, on the
-    surface and at the given interior heights, where x_tail bounds the region
+    surface and at the INTERIOR_LEVELS heights, where x_tail bounds the region
     with |t1| above tail_floor.  Report-only; violations are listed.
 
     Strictness is measured against the numerical noise in the slope: the top
@@ -215,33 +212,29 @@ def nodal_check(sol: WaveSolution, tail_floor: float = 1e-8,
     x_tail = float(np.max(x[above]))
     window = (x > 0) & (x < x_tail)
 
-    t1x = ddx(t1, g)
+    heights = (1.0,) + INTERIOR_LEVELS
+    slopes = harmonic_fields(t1, g, heights)[1]
+    t1x = slopes[0]
     coeffs = np.fft.rfft(t1x)
     coeffs[: int(0.8 * len(coeffs))] = 0.0
     ripple = float(np.max(np.abs(np.fft.irfft(coeffs, g.n_points))))
     noise = noise_factor * max(ripple,
                                np.finfo(float).eps * float(np.max(np.abs(t1x))))
     violations = []
-    for y in (1.0,) + tuple(levels):
-        slope = t1x if y == 1.0 else eval_interior(t1x, g, y)
+    for y, slope in zip(heights, slopes):
         bad = window & (slope >= noise)
-        violations.extend((float(y), float(xx)) for xx in x[bad])
+        violations.extend((y, float(xx)) for xx in x[bad])
     return NodalReport(passed=not violations, x_tail=x_tail,
                        violations=violations, noise_floor=noise)
 
 
 # --- physical profile -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProfilePoint:
-    X: float
-    Y: float
-    xi_prime: float
-
-
 @dataclass(frozen=True, eq=False)
 class ProfileReport:
-    points: list
+    X: np.ndarray               # physical surface (X, Y), one point per station
+    Y: np.ndarray
+    xi_prime: np.ndarray        # horizontal stretch eta_y per station
     overhang: bool
     min_xi_prime: float
     self_intersecting: bool
@@ -298,9 +291,7 @@ def physical_profile(sol: WaveSolution) -> ProfileReport:
     min_xi = float(np.min(eta_y))
     overhang = min_xi < 0.0
     selfx = _self_intersection_scan(X, Y) if overhang else False
-    points = [ProfilePoint(X=float(X[j]), Y=float(Y[j]), xi_prime=float(eta_y[j]))
-              for j in range(g.n_points)]
-    return ProfileReport(points=points, overhang=overhang,
+    return ProfileReport(X=X, Y=Y, xi_prime=eta_y, overhang=overhang,
                          min_xi_prime=min_xi, self_intersecting=selfx)
 
 
@@ -322,6 +313,12 @@ class BoundsReport:
         return any(c.status == "fail" for c in self.checks)
 
 
+def _bound_status(worst: float, tol: float) -> str:
+    if worst > tol:
+        return "pass"
+    return "degenerate-equality" if worst >= -tol else "fail"
+
+
 def prop65_check(sol: WaveSolution, tol: float = 1e-9) -> BoundsReport:
     """Pointwise bounds on the vertical derivatives of the stream-like and
     potential-like harmonic quantities on the surface.
@@ -331,11 +328,9 @@ def prop65_check(sol: WaveSolution, tol: float = 1e-9) -> BoundsReport:
     reported as degenerate-equality rather than failure.
     """
     p, g, t1 = sol.params, sol.grid, sol.t1
-    checks = []
-
     # potential derivative: exactly 1 by construction
-    checks.append(BoundCheck(name="theta_y vs 1", status="degenerate-equality",
-                             worst_margin=0.0))
+    checks = [BoundCheck(name="theta_y vs 1", status="degenerate-equality",
+                         worst_margin=0.0)]
 
     t2 = eliminated_t2(t1, p)
     eta = 1.0 + t1
@@ -348,35 +343,18 @@ def prop65_check(sol: WaveSolution, tol: float = 1e-9) -> BoundsReport:
         worst = float(np.min(bound - psi_y))
         if p.gamma == 0 and np.max(np.abs(psi_y - 1.0)) <= max(tol, 1e-12):
             status = "degenerate-equality"
-        elif worst > tol:
-            status = "pass"
-        elif worst >= -tol:
-            status = "degenerate-equality"
         else:
-            status = "fail"
+            status = _bound_status(worst, tol)
         checks.append(BoundCheck(name="psi_y upper (gamma<=0)", status=status,
                                  worst_margin=worst))
 
     if p.gamma >= 0:
-        grad_inf = np.inf
-        t1x = ddx(t1, g)
-        for y in (1.0,) + tuple(INTERIOR_LEVELS):
-            if y == 1.0:
-                gx, gy = t1x, eta_y
-            else:
-                gx = eval_interior(t1x, g, y)
-                gy = 1.0 + eval_interior_dy(t1, g, y)
-            grad_inf = min(grad_inf, float(np.min(gx ** 2 + gy ** 2)))
+        _, gx, gy = harmonic_fields(t1, g, (1.0,) + INTERIOR_LEVELS)
+        grad_inf = float(np.min(gx ** 2 + (1.0 + gy) ** 2))
         bound = min(2.0 - p.gamma + 2.0 * p.eps1, p.gamma * grad_inf)
         worst = float(np.min(psi_y - bound))
-        if worst > tol:
-            status = "pass"
-        elif worst >= -tol:
-            status = "degenerate-equality"
-        else:
-            status = "fail"
-        checks.append(BoundCheck(name="psi_y lower (gamma>=0)", status=status,
-                                 worst_margin=worst))
+        checks.append(BoundCheck(name="psi_y lower (gamma>=0)",
+                                 status=_bound_status(worst, tol), worst_margin=worst))
 
     return BoundsReport(checks=checks)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -119,32 +120,13 @@ def load_solution(path):
 
 
 def branch_point_to_json(pt: BranchPoint) -> dict:
-    return {
-        "kind": "branch_point",
-        "s": _hex_scalar(pt.s),
-        "alpha": _hex_scalar(pt.alpha),
-        "amplitude": _hex_scalar(pt.amplitude),
-        "monitor_m1": _hex_scalar(pt.monitor_m1),
-        "monitor_m2": _hex_scalar(pt.monitor_m2),
-        "monitor_m3": _hex_scalar(pt.monitor_m3),
-        "froude": _hex_scalar(pt.froude),
-        "lambda_min": _hex_scalar(pt.lambda_min),
-        "residual_norm": _hex_scalar(pt.residual_norm),
-    }
+    return {"kind": "branch_point",
+            **{f.name: _hex_scalar(getattr(pt, f.name)) for f in fields(BranchPoint)}}
 
 
 def branch_point_from_json(obj) -> BranchPoint:
-    return BranchPoint(
-        s=_unhex_scalar(obj["s"]),
-        alpha=_unhex_scalar(obj["alpha"]),
-        amplitude=_unhex_scalar(obj["amplitude"]),
-        monitor_m1=_unhex_scalar(obj["monitor_m1"]),
-        monitor_m2=_unhex_scalar(obj["monitor_m2"]),
-        monitor_m3=_unhex_scalar(obj["monitor_m3"]),
-        froude=_unhex_scalar(obj["froude"]),
-        lambda_min=_unhex_scalar(obj["lambda_min"]),
-        residual_norm=_unhex_scalar(obj["residual_norm"]),
-    )
+    return BranchPoint(**{f.name: _unhex_scalar(obj[f.name])
+                          for f in fields(BranchPoint)})
 
 
 def save_branch(path, branch, run_config: dict, sidecar_every: int = 10,

@@ -108,6 +108,16 @@ def _rhs(q, pdot, p: OdeParams):
     return pdot, 3.0 * q - p.c2 * q * q
 
 
+def _rk4_step(q, v, h, p: OdeParams):
+    """One classical RK4 step of size h from (q, v)."""
+    k1q, k1p = _rhs(q, v, p)
+    k2q, k2p = _rhs(q + 0.5 * h * k1q, v + 0.5 * h * k1p, p)
+    k3q, k3p = _rhs(q + 0.5 * h * k2q, v + 0.5 * h * k2p, p)
+    k4q, k4p = _rhs(q + h * k3q, v + h * k3p, p)
+    return (q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q),
+            v + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p))
+
+
 def integrate_orbit(q_init: float, p_init: float, p: OdeParams,
                     dt: float, n_steps: int,
                     escape_factor: float = 10.0) -> Orbit:
@@ -126,12 +136,7 @@ def integrate_orbit(q_init: float, p_init: float, p: OdeParams,
     escaped = False
     count = n_steps
     for i in range(n_steps):
-        k1q, k1p = _rhs(q, v, p)
-        k2q, k2p = _rhs(q + 0.5 * dt * k1q, v + 0.5 * dt * k1p, p)
-        k3q, k3p = _rhs(q + 0.5 * dt * k2q, v + 0.5 * dt * k2p, p)
-        k4q, k4p = _rhs(q + dt * k3q, v + dt * k3p, p)
-        q += (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-        v += (dt / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        q, v = _rk4_step(q, v, dt, p)
         qs[i + 1], ps[i + 1] = q, v
         if abs(q) > escape_factor * p.q0:
             escaped = True
@@ -166,18 +171,10 @@ def closed_orbit_return(q0: float, p: OdeParams, dt: float = 1e-3,
     flow, so the returned closure error reflects the integrator, not the
     sampling stride.
     """
-    def flow(q, v, h):
-        k1q, k1p = _rhs(q, v, p)
-        k2q, k2p = _rhs(q + 0.5 * h * k1q, v + 0.5 * h * k1p, p)
-        k3q, k3p = _rhs(q + 0.5 * h * k2q, v + 0.5 * h * k2p, p)
-        k4q, k4p = _rhs(q + h * k3q, v + h * k3p, p)
-        return (q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q),
-                v + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p))
-
     q, v = float(q0), 0.0
     crossings = 0
     for _ in range(max_steps):
-        qn, vn = flow(q, v, dt)
+        qn, vn = _rk4_step(q, v, dt, p)
         if abs(qn) > 10.0 * p.q0:
             return None
         if v != 0.0 and np.sign(vn) != np.sign(v) and vn != 0.0:
@@ -186,7 +183,7 @@ def closed_orbit_return(q0: float, p: OdeParams, dt: float = 1e-3,
             ql, vl = q, v
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                qm, vm = flow(q, v, mid)
+                qm, vm = _rk4_step(q, v, mid, p)
                 if np.sign(vm) == np.sign(vl) and vm != 0.0:
                     lo = mid
                     ql, vl = qm, vm

@@ -57,6 +57,13 @@ def _cosh_ratio(k: np.ndarray, y: float) -> np.ndarray:
     return out
 
 
+def _ddx_multiplier(k: np.ndarray) -> np.ndarray:
+    """i k with the Nyquist mode zeroed."""
+    mult = 1j * k.astype(complex)
+    mult[-1] = 0.0
+    return mult
+
+
 def ddx(t: np.ndarray, g: Grid) -> np.ndarray:
     """Spectral tangential derivative along the surface.
 
@@ -64,9 +71,7 @@ def ddx(t: np.ndarray, g: Grid) -> np.ndarray:
     avoid spurious odd components.
     """
     t = _check_trace(t, g)
-    mult = 1j * g.wavenumbers.astype(complex)
-    mult[-1] = 0.0
-    return _apply_multiplier(t, mult)
+    return _apply_multiplier(t, _ddx_multiplier(g.wavenumbers))
 
 
 def dtn(t: np.ndarray, g: Grid) -> np.ndarray:
@@ -80,15 +85,19 @@ def dtn(t: np.ndarray, g: Grid) -> np.ndarray:
     return _apply_multiplier(t, dtn_multiplier(g.wavenumbers))
 
 
+def _check_height(y: float) -> float:
+    if not 0.0 <= y <= 1.0:
+        raise ValueError(f"height y={y} outside [0, 1]")
+    return float(y)
+
+
 def eval_interior(t: np.ndarray, g: Grid, y: float) -> np.ndarray:
     """Harmonic extension sampled at height y in [0, 1].
 
     Multiplier sinh(k y)/sinh(k); mode 0 scales linearly with y.
     """
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"height y={y} outside [0, 1]")
-    t = _check_trace(t, g)
-    return _apply_multiplier(t, _sinh_ratio(g.wavenumbers, float(y)))
+    y = _check_height(y)
+    return _apply_multiplier(_check_trace(t, g), _sinh_ratio(g.wavenumbers, y))
 
 
 def eval_interior_dy(t: np.ndarray, g: Grid, y: float) -> np.ndarray:
@@ -97,10 +106,30 @@ def eval_interior_dy(t: np.ndarray, g: Grid, y: float) -> np.ndarray:
     Multiplier k cosh(k y)/sinh(k); mode 0 maps to the constant 1 times the
     trace mean.  At y = 1 this coincides with dtn exactly.
     """
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"height y={y} outside [0, 1]")
+    y = _check_height(y)
+    return _apply_multiplier(_check_trace(t, g), _cosh_ratio(g.wavenumbers, y))
+
+
+def harmonic_fields(t: np.ndarray, g: Grid, ys):
+    """Harmonic extension w of t and its derivatives w_x, w_y at the heights
+    ys in [0, 1], each of shape (len(ys),) + t.shape, from one transform.
+
+    t may be a batch of traces on its leading axes.  The rows at y = 1 are
+    exactly t, ddx(t) and dtn(t).
+    """
     t = _check_trace(t, g)
-    return _apply_multiplier(t, _cosh_ratio(g.wavenumbers, float(y)))
+    ys = [_check_height(y) for y in ys]
+    k, n = g.wavenumbers, g.n_points
+    c = np.fft.rfft(t, axis=-1)
+    cx = c * _ddx_multiplier(k)
+    w, w_x, w_y = (np.empty((len(ys),) + t.shape) for _ in range(3))
+    for i, y in enumerate(ys):
+        sinh_y = _sinh_ratio(k, y)          # exactly 1 at y = 1
+        w[i] = t if y == 1.0 else np.fft.irfft(c * sinh_y, n=n, axis=-1)
+        w_x[i] = np.fft.irfft(cx * sinh_y, n=n, axis=-1)
+        cosh_y = dtn_multiplier(k) if y == 1.0 else _cosh_ratio(k, y)
+        w_y[i] = np.fft.irfft(c * cosh_y, n=n, axis=-1)
+    return w, w_x, w_y
 
 
 def conjugate_primitive(t: np.ndarray, g: Grid, mean_tol: float = 1e-3) -> np.ndarray:

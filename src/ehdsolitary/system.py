@@ -14,7 +14,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .model import Grid, Params
-from .spectral import ddx, dtn, dtn_multiplier, eval_interior, eval_interior_dy
+from .spectral import ddx, dtn, dtn_multiplier, harmonic_fields
+
+# Heights inside the strip where the pointwise checks sample, besides y = 1.
+INTERIOR_LEVELS = (0.25, 0.5, 0.75)
 
 
 class NonFiniteTrace(ArithmeticError):
@@ -113,23 +116,12 @@ def dispersion_root(p: Params, k_max: float = 1e6):
     return float(brentq(f, 1e-14, hi, xtol=1e-14, rtol=8.9e-16))
 
 
-def lambda_min(t1: np.ndarray, p: Params, g: Grid,
-               interior_levels=(0.25, 0.5, 0.75)) -> float:
+def lambda_min(t1: np.ndarray, p: Params, g: Grid) -> float:
     """Admissibility quantity: inf of 4 (1 + eps1 - 2 alpha w1)^2 |grad eta|^2
-    sampled on the surface and at the given interior heights."""
-    t1 = np.asarray(t1, dtype=float)
-    t1x = ddx(t1, g)
-    best = np.inf
-    for y in (1.0,) + tuple(interior_levels):
-        if y == 1.0:
-            w1, w1x, w1y = t1, t1x, dtn(t1, g)
-        else:
-            w1 = eval_interior(t1, g, y)
-            w1x = eval_interior(t1x, g, y)
-            w1y = eval_interior_dy(t1, g, y)
-        val = 4.0 * (1.0 + p.eps1 - 2.0 * p.alpha * w1) ** 2 * (w1x ** 2 + (1.0 + w1y) ** 2)
-        best = min(best, float(np.min(val)))
-    return best
+    sampled on the surface and at the INTERIOR_LEVELS heights."""
+    w1, w1x, w1y = harmonic_fields(t1, g, (1.0,) + INTERIOR_LEVELS)
+    val = 4.0 * (1.0 + p.eps1 - 2.0 * p.alpha * w1) ** 2 * (w1x ** 2 + (1.0 + w1y) ** 2)
+    return float(np.min(val))
 
 
 def surface_gradient_bounds(t1: np.ndarray, p: Params, g: Grid):

@@ -338,6 +338,27 @@ class TestClassifyStop:
         assert not rep.discrepancy
 
 
+def test_corrector_points_are_not_resolved(monkeypatch):
+    # a converged corrector point passes its adequacy checks as it is; a
+    # fixed-alpha solve from that very trace on the same grid is wasted work
+    calls = []
+
+    def recording(t1_init, p, g, cfg=NewtonConfig(), tangent=None):
+        sol = newton_solve(t1_init, p, g, cfg, tangent=tangent)
+        calls.append((tangent is not None, np.array(t1_init), g, sol))
+        return sol
+
+    monkeypatch.setattr(continuation, "newton_solve", recording)
+    br = continue_branch(BaseParams(0.0, 0.5), make_grid(704.0, 1024),
+                         ContinuationConfig(max_points=12))
+    assert len(br.points) == 12
+    assert sum(corrector for corrector, *_ in calls) >= 3
+    for (corrector, _, g0, sol), (next_corrector, t_init, g1, _) in zip(
+            calls, calls[1:]):
+        if corrector and not next_corrector and g1 is g0:
+            assert not np.array_equal(t_init, sol.t1)
+
+
 def test_branch_continuity(short_branch):
     # consecutive traces differ in sup-norm by less than 5x the realized
     # arclength step (same-grid pairs; regrid transitions are exact embeddings)

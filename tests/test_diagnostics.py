@@ -171,10 +171,8 @@ class TestPhysicalProfile:
     def test_trivial_straight_line(self):
         sol = trivial_solution(0.0, 0.5, 1.0)
         rep = physical_profile(sol)
-        X = np.array([pt.X for pt in rep.points])
-        Y = np.array([pt.Y for pt in rep.points])
-        assert np.max(np.abs(X - sol.grid.x)) < 1e-12
-        assert np.max(np.abs(Y - 1.0)) == 0.0
+        assert np.max(np.abs(rep.X - sol.grid.x)) < 1e-12
+        assert np.max(np.abs(rep.Y - 1.0)) == 0.0
         assert not rep.overhang
         assert not rep.self_intersecting
 
@@ -182,10 +180,9 @@ class TestPhysicalProfile:
         rep = physical_profile(small_wave)
         assert not rep.overhang
         assert rep.min_xi_prime > 0
-        X = np.array([pt.X for pt in rep.points])
-        assert np.all(np.diff(X) > 0)
-        crest = rep.points[small_wave.grid.n_points // 2]
-        assert crest.Y == pytest.approx(1.0 + small_wave.amplitude, abs=1e-14)
+        assert np.all(np.diff(rep.X) > 0)
+        crest_y = rep.Y[small_wave.grid.n_points // 2]
+        assert crest_y == pytest.approx(1.0 + small_wave.amplitude, abs=1e-14)
 
     def test_synthetic_overhang_detected(self):
         g = make_grid(np.pi * 8, 256)

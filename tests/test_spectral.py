@@ -8,6 +8,7 @@ from ehdsolitary.spectral import (
     cosine_basis,
     cosine_coefficients,
     dtn_multiplier,
+    harmonic_fields,
     values_from_cosine,
 )
 
@@ -198,6 +199,44 @@ class TestEvalInteriorDy:
             approx = (eval_interior(t, g, y + dy) - eval_interior(t, g, y - dy)) / (2 * dy)
             errs.append(np.max(np.abs(approx - eval_interior_dy(t, g, y))))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)  # O(dy^2)
+
+
+class TestHarmonicFields:
+    YS = (1.0, 0.75, 0.3, 0.0)
+
+    def test_top_rows_are_the_surface_operators(self):
+        g = make_grid(8.0, 64)
+        t = random_even_trace(g, np.random.default_rng(7))
+        w, w_x, w_y = harmonic_fields(t, g, self.YS)
+        assert w.shape == w_x.shape == w_y.shape == (len(self.YS), 64)
+        assert np.array_equal(w[0], t)
+        assert np.array_equal(w_x[0], ddx(t, g))
+        assert np.array_equal(w_y[0], dtn(t, g))
+
+    def test_interior_rows_match_eval_interior(self):
+        g = make_grid(8.0, 64)
+        t = random_even_trace(g, np.random.default_rng(8))
+        w, w_x, w_y = harmonic_fields(t, g, self.YS)
+        for i, y in enumerate(self.YS):
+            for got, ref in ((w[i], eval_interior(t, g, y)),
+                             (w_x[i], eval_interior(ddx(t, g), g, y)),
+                             (w_y[i], eval_interior_dy(t, g, y))):
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_batch_equals_per_trace_calls(self):
+        g = make_grid(8.0, 64)
+        rng = np.random.default_rng(9)
+        ts = np.stack([random_even_trace(g, rng), random_even_trace(g, rng)])
+        batch = harmonic_fields(ts, g, self.YS)
+        for j in range(2):
+            for got, ref in zip(batch, harmonic_fields(ts[j], g, self.YS)):
+                assert np.array_equal(got[:, j], ref)
+
+    def test_out_of_range_rejected(self):
+        g = make_grid(8.0, 64)
+        for y in (1.5, -0.1):
+            with pytest.raises(ValueError, match="outside"):
+                harmonic_fields(np.zeros(64), g, (0.5, y))
 
 
 class TestConjugatePrimitive:
