@@ -35,7 +35,6 @@ from .diagnostics import (
     nodal_check,
     physical_profile,
     prop65_check,
-    trivial_flow_force,
 )
 from .model import (
     BaseParams,
@@ -63,7 +62,7 @@ from .reduced_ode import (
     integrate_orbit,
     phase_portrait,
 )
-from .spectral import conjugate_primitive, ddx, dtn, eval_interior, eval_interior_dy
+from .spectral import conjugate_primitive, ddx, dtn, eval_interior
 from .system import (
     dispersion_root,
     jacobian_apply,

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .model import Params
 
-_EQ_TOL = 1e-12       # root residual targets of the scalar solves
+_EQ_TOL = 1e-12       # distance to alpha_cr treated as the critical speed
 _FORCE_TOL = 1e-10    # flow-force equality threshold in the verdict
-_BRACKET_CAP = 1e3    # guard for pathological vorticity
 
 
 @dataclass(frozen=True)
@@ -76,87 +76,42 @@ def shat(d: float, p: Params):
     return float(val) if val.ndim == 0 else val
 
 
+def _depth_coefficients(p: Params):
+    """(A, b^2) with A = (1 - gamma/2)^2 + eps1 and b = gamma/2, so that
+    qhat(d) = A/d^2 + b^2 d^2 + 2 alpha (d - 1) + const."""
+    a = 1.0 - 0.5 * p.gamma
+    A = a * a + p.eps1
+    if A <= 0.0:
+        raise ValueError("no critical depth: (1 - gamma/2)^2 + eps1 = 0 "
+                         "(gamma = 2, eps1 = 0), so qhat increases for all d > 0")
+    return A, 0.25 * p.gamma ** 2
+
+
 def find_dcr(p: Params) -> float:
-    """Depth minimizing the Bernoulli function, by Newton on its derivative
-    with a bisection fallback on a doubling bracket."""
-    d = 1.0
-    for _ in range(60):
-        fp = qhat_prime(d, p)
-        if abs(fp) < _EQ_TOL:
-            return d
-        step = fp / qhat_second(d, p)
-        d_new = d - step
-        if d_new <= 0:
-            d_new = 0.5 * d
-        d = d_new
-    # Newton stalled; bracket by doubling outward from 1 (derivative is
-    # increasing, so one sign change exists)
-    lo, hi = 1.0, 1.0
-    while qhat_prime(lo, p) > 0:
-        lo *= 0.5
-        if lo < 1.0 / _BRACKET_CAP:
-            raise RuntimeError("bracket search for the critical depth failed")
-    while qhat_prime(hi, p) < 0:
-        hi *= 2.0
-        if hi > _BRACKET_CAP:
-            raise RuntimeError("bracket search for the critical depth failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if abs(qhat_prime(mid, p)) < _EQ_TOL:
-            return mid
-        if qhat_prime(mid, p) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Depth minimizing the Bernoulli function: qhat'(d) d^3 / 2 =
+    b^2 d^4 + alpha d^3 - A increases on d > 0 from -A, and is positive at
+    1 + A/alpha, so its one positive root lies in (0, 1 + A/alpha)."""
+    A, b2 = _depth_coefficients(p)
+    return float(brentq(lambda d: b2 * d ** 4 + p.alpha * d ** 3 - A,
+                        0.0, 1.0 + A / p.alpha, xtol=1e-14, rtol=8.9e-16))
 
 
 def find_dstar(p: Params) -> Optional[float]:
     """The unique depth other than 1 matching the unit-depth Bernoulli
     constant, or None in the degenerate tangency at the critical speed.
 
-    Lies beyond the critical depth when alpha < alpha_cr, below it otherwise.
+    (qhat(d) - qhat(1)) d^2 / (d - 1) is the cubic
+    C(d) = b^2 d^3 + (b^2 + 2 alpha) d^2 - A d - A, with one sign change in
+    its coefficients, hence one positive root.  C(0) = -A and
+    C(1) = 2 (alpha - alpha_cr), so the root lies in (1, 1 + A/alpha) when
+    alpha < alpha_cr, beyond the critical depth, and in (0, 1) otherwise.
     """
+    A, b2 = _depth_coefficients(p)
     if abs(p.alpha - p.alpha_cr) < _EQ_TOL:
         return None
-    d_cr = find_dcr(p)
-    target = qhat(1.0, p)
-    f = lambda d: qhat(d, p) - target
-
-    if p.alpha < p.alpha_cr:
-        lo, hi = d_cr, max(2.0 * d_cr, 2.0)
-        while f(hi) < 0:
-            hi *= 2.0
-            if hi > _BRACKET_CAP:
-                raise RuntimeError("conjugate-depth bracket expansion exceeded cap")
-    else:
-        hi = d_cr
-        lo = 0.5 * d_cr
-        while f(lo) < 0:
-            lo *= 0.5
-            if lo < 1.0 / _BRACKET_CAP:
-                raise RuntimeError("conjugate-depth bracket expansion exceeded cap")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) < _EQ_TOL:
-            return mid
-        # f < 0 between the tangent points, > 0 outside
-        if p.alpha < p.alpha_cr:
-            if fm < 0:
-                lo = mid
-            else:
-                hi = mid
-        else:
-            if fm < 0:
-                hi = mid
-            else:
-                lo = mid
-    mid = 0.5 * (lo + hi)
-    if abs(f(mid)) < 10 * _EQ_TOL:
-        return mid
-    raise RuntimeError("conjugate-depth bisection did not reach tolerance")
+    lo, hi = (1.0, 1.0 + A / p.alpha) if p.alpha < p.alpha_cr else (0.0, 1.0)
+    return float(brentq(lambda d: ((b2 * d + b2 + 2.0 * p.alpha) * d - A) * d - A,
+                        lo, hi, xtol=1e-14, rtol=8.9e-16))
 
 
 def bore_verdict(p: Params) -> ConjugateFlowReport:

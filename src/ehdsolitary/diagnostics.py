@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Params, WaveSolution, symmetry_error
+from .model import WaveSolution, symmetry_error
 from .spectral import conjugate_primitive, ddx, dtn, harmonic_fields
 from .system import (INTERIOR_LEVELS, eliminated_t2, lambda_min, residual,
                      surface_gradient_bounds)
@@ -136,12 +136,6 @@ def flow_force(sol: WaveSolution, x: float, n_nodes: int = 32,
         raise ValueError(f"station x={x} outside the computational box")
     j = int(np.argmin(np.abs(g.x - x)))
     return float(flow_force_profile(sol, n_nodes, check=check)[j])
-
-
-def trivial_flow_force(p: Params) -> float:
-    """Closed-form flow force of the uniform stream:
-    gamma^2/3 - gamma + alpha/2 + 1 + eps1."""
-    return p.gamma ** 2 / 3.0 - p.gamma + 0.5 * p.alpha + 1.0 + p.eps1
 
 
 # --- integral flux identity ---------------------------------------------------
@@ -279,14 +273,17 @@ def _self_intersection_scan(X: np.ndarray, Y: np.ndarray) -> bool:
 def physical_profile(sol: WaveSolution) -> ProfileReport:
     """Physical free surface (X(x), Y(x)) recovered from the conformal trace.
 
-    X is the box coordinate plus the conjugate primitive of eta_y - 1; Y is
-    the surface elevation.  The overhang flag is set when the horizontal
+    X integrates X_x = eta_y: the mean m of eta_y - 1 (the wave's mass over
+    2L) stretches the box coordinate, and the conjugate primitive adds the
+    zero-mean rest, so the profile spans 2L - h plus the mass.  Y is the
+    surface elevation.  The overhang flag is set when the horizontal
     stretch xi_x = eta_y becomes negative anywhere; self-intersection of an
     overhanging profile is reported, not rejected.
     """
     g, t1 = sol.grid, sol.t1
     eta_y = 1.0 + dtn(t1, g)
-    X = g.x + conjugate_primitive(eta_y - 1.0, g)
+    m = float(np.mean(eta_y - 1.0))
+    X = (1.0 + m) * g.x + conjugate_primitive(eta_y - 1.0 - m, g)
     Y = 1.0 + t1
     min_xi = float(np.min(eta_y))
     overhang = min_xi < 0.0

@@ -42,7 +42,7 @@ class BaseParams:
 
 
 @dataclass(frozen=True)
-class Params:
+class Params(BaseParams):
     """Dimensionless parameter set of one flow.
 
     gamma : constant vorticity
@@ -53,21 +53,12 @@ class Params:
     stored independently, so they cannot drift out of sync.
     """
 
-    gamma: float
-    eps1: float
     alpha: float
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma):
-            raise ValidationError("gamma", "must be finite")
-        if not np.isfinite(self.eps1) or self.eps1 < 0:
-            raise ValidationError("eps1", "relative permittivity must be >= 0")
+        super().__post_init__()
         if not np.isfinite(self.alpha) or self.alpha <= 0:
             raise ValidationError("alpha", "inverse square Froude number must be > 0")
-
-    @property
-    def alpha_cr(self) -> float:
-        return 1.0 - self.gamma + self.eps1
 
     @property
     def froude(self) -> float:

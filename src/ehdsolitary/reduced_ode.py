@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -77,14 +76,6 @@ def homoclinic_exact(x, p: OdeParams):
     return float(val) if val.ndim == 0 else val
 
 
-def homoclinic_slope(x, p: OdeParams):
-    """Derivative of the closed-form orbit."""
-    x = np.asarray(x, dtype=float)
-    u = 0.5 * np.sqrt(3.0) * x
-    val = -np.sqrt(3.0) * p.q0 * np.tanh(u) / np.cosh(u) ** 2
-    return float(val) if val.ndim == 0 else val
-
-
 def energy(q, pdot, p: OdeParams):
     """First integral E = P^2/2 - (3/2) Q^2 + (c2/3) Q^3 of the scaled system."""
     q = np.asarray(q, dtype=float)
@@ -105,7 +96,7 @@ class Orbit:
 
 
 def _rhs(q, pdot, p: OdeParams):
-    return pdot, 3.0 * q - p.c2 * q * q
+    return pdot, f_reduced(q, pdot, 1.0, p)
 
 
 def _rk4_step(q, v, h, p: OdeParams):
@@ -160,37 +151,3 @@ def phase_portrait(p: OdeParams, q0_list, dt: float = 1e-3,
     """
     n_steps = int(round(x_max / dt))
     return [integrate_orbit(q0, 0.0, p, dt, n_steps) for q0 in q0_list]
-
-
-def closed_orbit_return(q0: float, p: OdeParams, dt: float = 1e-3,
-                        max_steps: int = 200_000) -> Optional[float]:
-    """Distance to the launch point (q0, 0) at the first full revolution,
-    or None if no return is detected within the budget.
-
-    The crossing of P through zero is refined by bisection on the integrated
-    flow, so the returned closure error reflects the integrator, not the
-    sampling stride.
-    """
-    q, v = float(q0), 0.0
-    crossings = 0
-    for _ in range(max_steps):
-        qn, vn = _rk4_step(q, v, dt, p)
-        if abs(qn) > 10.0 * p.q0:
-            return None
-        if v != 0.0 and np.sign(vn) != np.sign(v) and vn != 0.0:
-            # refine the crossing time by bisection on the sub-step
-            lo, hi = 0.0, dt
-            ql, vl = q, v
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                qm, vm = _rk4_step(q, v, mid, p)
-                if np.sign(vm) == np.sign(vl) and vm != 0.0:
-                    lo = mid
-                    ql, vl = qm, vm
-                else:
-                    hi = mid
-            crossings += 1
-            if crossings == 2:
-                return float(np.hypot(ql - q0, vl))
-        q, v = qn, vn
-    return None

@@ -100,16 +100,6 @@ def eval_interior(t: np.ndarray, g: Grid, y: float) -> np.ndarray:
     return _apply_multiplier(_check_trace(t, g), _sinh_ratio(g.wavenumbers, y))
 
 
-def eval_interior_dy(t: np.ndarray, g: Grid, y: float) -> np.ndarray:
-    """y-derivative of the harmonic extension sampled at height y in [0, 1].
-
-    Multiplier k cosh(k y)/sinh(k); mode 0 maps to the constant 1 times the
-    trace mean.  At y = 1 this coincides with dtn exactly.
-    """
-    y = _check_height(y)
-    return _apply_multiplier(_check_trace(t, g), _cosh_ratio(g.wavenumbers, y))
-
-
 def harmonic_fields(t: np.ndarray, g: Grid, ys):
     """Harmonic extension w of t and its derivatives w_x, w_y at the heights
     ys in [0, 1], each of shape (len(ys),) + t.shape, from one transform.

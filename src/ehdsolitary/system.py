@@ -98,22 +98,18 @@ def linear_multiplier(k, p: Params):
     return float(m) if m.ndim == 0 else m
 
 
-def dispersion_root(p: Params, k_max: float = 1e6):
+def dispersion_root(p: Params):
     """The unique positive root of m(k) = 0 when alpha > alpha_cr, else None.
 
     k coth k increases strictly from 1, so a root exists iff
-    (gamma + alpha)/(1 + eps1) > 1.
+    target = (gamma + alpha)/(1 + eps1) > 1, and k coth k > k puts it in
+    (0, target).
     """
     target = (p.gamma + p.alpha) / (1.0 + p.eps1)
     if target <= 1.0:
         return None
     f = lambda k: float(dtn_multiplier(np.array([k]))[0]) - target
-    hi = 1.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > k_max:
-            raise RuntimeError("dispersion root bracket expansion failed")
-    return float(brentq(f, 1e-14, hi, xtol=1e-14, rtol=8.9e-16))
+    return float(brentq(f, 0.0, target, xtol=1e-14, rtol=8.9e-16))
 
 
 def lambda_min(t1: np.ndarray, p: Params, g: Grid) -> float:

@@ -31,7 +31,6 @@ from ehdsolitary import (
     qhat_second,
     residual,
     shat,
-    trivial_flow_force,
 )
 from ehdsolitary.cli import _auto_half_length
 from ehdsolitary.continuation import (
@@ -40,10 +39,9 @@ from ehdsolitary.continuation import (
     small_amplitude_coefficients,
 )
 from ehdsolitary.newton import build_solution
-from ehdsolitary.reduced_ode import homoclinic_slope
 from ehdsolitary.spectral import dtn, dtn_multiplier
 
-from helpers import random_even_trace
+from helpers import homoclinic_slope, random_even_trace
 from three_component import newton_solve_three_component
 
 
@@ -70,7 +68,7 @@ def test_a1_trivial_consistency():
         worst_r = max(worst_r, float(np.max(np.abs(residual(np.zeros(32), p, g)))))
         sol = build_solution(np.zeros(32), p, g, 1e-15)
         s = flow_force_profile(sol, check=False)
-        expected = trivial_flow_force(p)
+        expected = p.gamma ** 2 / 3.0 - p.gamma + 0.5 * p.alpha + 1.0 + p.eps1
         worst_s = max(worst_s, float(np.max(np.abs(s - expected))))
     report("A1 trivial consistency", worst_r == 0.0 and worst_s < 1e-12,
            f"max residual {worst_r:.1e}, max flow-force error {worst_s:.1e}")

@@ -11,7 +11,6 @@ from ehdsolitary import (
     qhat,
     qhat_second,
     shat,
-    trivial_flow_force,
 )
 from ehdsolitary.conjugate import qhat_prime
 
@@ -58,7 +57,9 @@ class TestShat:
 
     @given(p=params_strategy())
     def test_unit_depth_equals_trivial_flow_force(self, p):
-        assert abs(shat(1.0, p) - trivial_flow_force(p)) < 1e-12
+        # closed-form flow force of the uniform stream
+        expected = p.gamma ** 2 / 3.0 - p.gamma + 0.5 * p.alpha + 1.0 + p.eps1
+        assert abs(shat(1.0, p) - expected) < 1e-12
 
     def test_derivative_identity_at_reference_point(self):
         # centered difference, step 1e-6, against (qhat(1) - qhat(d))/2
@@ -97,6 +98,14 @@ class TestConjugateDepth:
     def test_degenerate_at_critical_speed(self):
         assert find_dstar(make_params(0.2, 0.3, 1.1)) is None
 
+    @pytest.mark.parametrize("offset", [1e-5, -1e-5, 1e-6, -1e-6])
+    def test_near_critical_speed_quadratic_oracle(self, offset):
+        # gamma = 0, eps1 = 0.5: 2 alpha d^2 - 1.5 d - 1.5 = 0 next to the
+        # double root d = 1 at alpha_cr = 1.5
+        p = make_params(0.0, 0.5, 1.5 + offset)
+        exact = (1.5 + np.sqrt(2.25 + 12.0 * p.alpha)) / (4.0 * p.alpha)
+        assert abs(find_dstar(p) - exact) < 1e-10
+
     @given(p=params_strategy())
     def test_side_of_critical_depth(self, p):
         # away from the critical-speed tangency where d_star collapses to 1
@@ -108,6 +117,19 @@ class TestConjugateDepth:
             assert d_star > d_cr
         else:
             assert d_star < d_cr
+
+
+class TestNoPositiveDepth:
+    # gamma = 2, eps1 = 0: qhat = d^2 + 2 alpha (d - 1) + 2 increases on d > 0
+    P = make_params(2.0, 0.0, 1.0)
+
+    def test_critical_depth_rejected(self):
+        with pytest.raises(ValueError, match="no critical depth"):
+            find_dcr(self.P)
+
+    def test_verdict_rejected(self):
+        with pytest.raises(ValueError, match="no critical depth"):
+            bore_verdict(self.P)
 
 
 class TestBoreVerdict:

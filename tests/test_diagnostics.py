@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from ehdsolitary import (
     nodal_check,
     physical_profile,
     prop65_check,
-    trivial_flow_force,
 )
 from ehdsolitary.diagnostics import (
     asymptotic_field_deviation,
@@ -88,7 +89,6 @@ class TestFlowForce:
     def test_trivial_closed_form(self, gamma, eps1, alpha):
         sol = trivial_solution(gamma, eps1, alpha)
         expected = gamma ** 2 / 3.0 - gamma + alpha / 2.0 + 1.0 + eps1
-        assert trivial_flow_force(sol.params) == pytest.approx(expected, abs=1e-15)
         for x in (0.0, -5.0, 7.5):
             assert flow_force(sol, x) == pytest.approx(expected, abs=1e-12)
 
@@ -193,6 +193,19 @@ class TestPhysicalProfile:
         rep = physical_profile(sol)
         assert rep.overhang
         assert rep.min_xi_prime < 0
+
+    @pytest.mark.parametrize("wave", ["small_wave", "rotational_wave"])
+    def test_span_keeps_the_mass(self, wave, request):
+        # X_x = eta_y, whose mean exceeds 1 by the mass over 2L: the profile
+        # spans 2L - h plus the mass h sum(t1), and a decayed wave in its
+        # box is no truncation symptom
+        sol = request.getfixturevalue(wave)
+        g = sol.grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = physical_profile(sol)
+        span = 2.0 * g.half_length - g.spacing + g.spacing * np.sum(sol.t1)
+        assert abs(rep.X[-1] - rep.X[0] - span) < 1e-9
 
 
 class TestLaminarBounds:

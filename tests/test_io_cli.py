@@ -219,6 +219,11 @@ class TestCliConjugate:
         assert text.startswith("key,value")
         assert "bore_excluded,True" in text
 
+    def test_no_critical_depth_is_a_validation_error(self, capsys):
+        rc = main(["conjugate", "--gamma", "2", "--eps1", "0", "--alpha", "1"])
+        assert rc == 1
+        assert "no critical depth" in capsys.readouterr().err
+
 
 class TestCliOde:
     def test_default_launches_write_eight_orbits(self, tmp_path, capsys):

@@ -12,11 +12,9 @@ from ehdsolitary import (
     phase_portrait,
 )
 from ehdsolitary.continuation import small_amplitude_coefficients
-from ehdsolitary.reduced_ode import (
-    closed_orbit_return,
-    energy,
-    homoclinic_slope,
-)
+from ehdsolitary.reduced_ode import energy
+
+from helpers import closed_orbit_return, homoclinic_slope
 
 
 class TestOdeParams:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ehdsolitary import conjugate_primitive, ddx, dtn, eval_interior, eval_interior_dy, make_grid
+from ehdsolitary import conjugate_primitive, ddx, dtn, eval_interior, make_grid
 from ehdsolitary.spectral import (
     cosine_basis,
     cosine_coefficients,
@@ -12,7 +12,7 @@ from ehdsolitary.spectral import (
     values_from_cosine,
 )
 
-from helpers import random_even_trace
+from helpers import eval_interior_dy, random_even_trace
 
 
 def fd6_derivative(values, h):
