@@ -10,7 +10,6 @@ from .conjugate import (
     find_dcr,
     find_dstar,
     qhat,
-    qhat_second,
     shat,
 )
 from .continuation import (

@@ -46,24 +46,6 @@ def qhat(d: float, p: Params):
     return float(val) if val.ndim == 0 else val
 
 
-def qhat_prime(d: float, p: Params):
-    d = np.asarray(d, dtype=float)
-    a = 0.5 * (2.0 - p.gamma)
-    b = 0.5 * p.gamma
-    # d/dd of (a/d + b d)^2 + eps1/d^2 + 2 alpha (d - 1)
-    val = (2.0 * (a / d + b * d) * (-a / (d * d) + b)
-           - 2.0 * p.eps1 / d ** 3 + 2.0 * p.alpha)
-    return float(val) if val.ndim == 0 else val
-
-
-def qhat_second(d: float, p: Params):
-    """Closed-form second derivative 3(2-gamma)^2/(2 d^4) + gamma^2/2 + 6 eps1/d^4,
-    strictly positive for every admissible parameter set."""
-    d = np.asarray(d, dtype=float)
-    val = 1.5 * (2.0 - p.gamma) ** 2 / d ** 4 + 0.5 * p.gamma ** 2 + 6.0 * p.eps1 / d ** 4
-    return float(val) if val.ndim == 0 else val
-
-
 def shat(d: float, p: Params):
     """Flow force of the uniform stream of depth d."""
     d = np.asarray(d, dtype=float)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import WaveSolution, symmetry_error
-from .spectral import conjugate_primitive, ddx, dtn, harmonic_fields
+from .spectral import conjugate_primitive, ddx, dtn, harmonic_fields, harmonic_rows
 from .system import (INTERIOR_LEVELS, eliminated_t2, lambda_min, residual,
                      surface_gradient_bounds)
 
@@ -87,7 +87,7 @@ def asymptotic_field_deviation(sol: WaveSolution) -> float:
 
 def _flow_force_all_stations(sol: WaveSolution, n_nodes: int) -> np.ndarray:
     """Flow force evaluated at every collocation station by Gauss-Legendre
-    quadrature over the strip height."""
+    quadrature over the strip height, from one transform of (t1, t2)."""
     p, g, t1 = sol.params, sol.grid, sol.t1
     t12 = np.stack([t1, eliminated_t2(t1, p)])
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
@@ -95,11 +95,10 @@ def _flow_force_all_stations(sol: WaveSolution, n_nodes: int) -> np.ndarray:
     ws = 0.5 * weights
 
     total = np.zeros(g.n_points)
-    for y, w in zip(ys, ws):
-        # one node per call: a call on all nodes holds 3 n_nodes (2, N) fields
-        _, wx, wy = harmonic_fields(t12, g, (y,))
-        eta_x, zeta_x = wx[0]
-        eta_y, zeta_y = 1.0 + wy[0, 0], (1.0 - p.gamma) + wy[0, 1]
+    # one node at a time: stacking all nodes would hold 3 n_nodes (2, N) fields
+    for w, (_, wx, wy) in zip(ws, harmonic_rows(t12, g, ys)):
+        eta_x, zeta_x = wx
+        eta_y, zeta_y = 1.0 + wy[0], (1.0 - p.gamma) + wy[1]
         gradsq = eta_x ** 2 + eta_y ** 2
         hydro = (eta_y * (zeta_y ** 2 - zeta_x ** 2)
                  + 2.0 * eta_x * zeta_x * zeta_y) / gradsq

@@ -6,6 +6,7 @@ between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -80,6 +81,9 @@ class Grid:
 
     The solitary-wave line is truncated to the periodic box [-L, L) with N
     points x_j = -L + 2 L j / N and wavenumbers k_n = pi n / L, n = 0..N/2.
+    The per-mode symbols of the spectral operators are computed on first
+    access, cached on the grid and read-only; a race on first access only
+    computes the same array twice.
     """
 
     half_length: float
@@ -108,6 +112,30 @@ class Grid:
     def n_modes(self) -> int:
         """Number of retained cosine modes, N/2 + 1."""
         return self.n_points // 2 + 1
+
+    # The symbols are defined in spectral, which imports this module.
+    @cached_property
+    def dtn_symbol(self) -> np.ndarray:
+        """spectral.dtn_multiplier of the wavenumbers: k coth k, 1 at k = 0."""
+        from .spectral import dtn_multiplier
+        return _read_only(dtn_multiplier(self.wavenumbers))
+
+    @cached_property
+    def ddx_symbol(self) -> np.ndarray:
+        """spectral._ddx_multiplier of the wavenumbers: i k, Nyquist zeroed."""
+        from .spectral import _ddx_multiplier
+        return _read_only(_ddx_multiplier(self.wavenumbers))
+
+    @cached_property
+    def cosine_weights(self) -> np.ndarray:
+        """spectral._cosine_weights: rfft real parts to cosine coefficients."""
+        from .spectral import _cosine_weights
+        return _read_only(_cosine_weights(self))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def make_grid(half_length: float, n_points: int) -> Grid:

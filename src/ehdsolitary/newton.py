@@ -9,6 +9,10 @@ N <= 1024) and preconditioned GMRES using the uniform-stream multiplier as
 the preconditioner.  Above dense_max_n the corrector's bordered step (the
 Jacobian augmented with the alpha column and the arclength row) is solved by
 the same GMRES call, matrix-free.
+
+Each accepted iterate is one SurfaceState, the one its residual came from.
+The state is handed to the dense assembly, the bordered LU and every GMRES
+matvec, so none of them re-derives the base fields of the iterate.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from .model import Grid, Params, WaveSolution, amplitude_of, symmetrize, tail_of
 from .spectral import cosine_basis, cosine_coefficients, values_from_cosine
 from .system import (
     NonFiniteTrace,
-    alpha_derivative,
+    SurfaceState,
     jacobian_apply,
     lambda_min,
     linear_multiplier,
@@ -98,11 +102,12 @@ def build_solution(t1: np.ndarray, p: Params, g: Grid, tol: float,
     )
 
 
-def dense_jacobian(t1: np.ndarray, p: Params, g: Grid) -> np.ndarray:
-    """Collocation Jacobian in the cosine basis, assembled column-by-column
-    (batched) from directional derivatives on basis traces."""
+def dense_jacobian(t1_or_state, p: Params, g: Grid) -> np.ndarray:
+    """Collocation Jacobian in the cosine basis at a trace or SurfaceState,
+    assembled column-by-column (batched) from directional derivatives on
+    basis traces."""
     basis = cosine_basis(g)                       # (M, N)
-    dr = jacobian_apply(t1, basis, p, g)          # (M, N)
+    dr = jacobian_apply(t1_or_state, basis, p, g)  # (M, N)
     return cosine_coefficients(dr, g).T           # (M, M): rows output, cols input
 
 
@@ -114,11 +119,11 @@ def _preconditioner(p: Params, g: Grid) -> np.ndarray:
     return 1.0 / np.maximum(m, floor)
 
 
-def _bordered_lu(t1: np.ndarray, p: Params, g: Grid, c: np.ndarray,
-                 c_alpha: float):
+def _bordered_lu(state: SurfaceState, c: np.ndarray, c_alpha: float):
     """LU factorization of the dense bordered Jacobian [J b; c c_alpha]."""
-    b = cosine_coefficients(alpha_derivative(t1, p, g), g)
-    big = np.block([[dense_jacobian(t1, p, g), b[:, None]],
+    p, g = state.params, state.grid
+    b = cosine_coefficients(state.alpha_derivative, g)
+    big = np.block([[dense_jacobian(state, p, g), b[:, None]],
                     [c[None, :], np.array([[c_alpha]])]])
     try:
         return lu_factor(big)
@@ -134,9 +139,10 @@ def _use_dense(cfg: NewtonConfig, g: Grid) -> bool:
     return g.n_points <= cfg.dense_max_n
 
 
-def solve_newton_step(t1: np.ndarray, r: np.ndarray, p: Params, g: Grid,
+def solve_newton_step(t1_or_state, r: np.ndarray, p: Params, g: Grid,
                       cfg: NewtonConfig, border=None):
-    """Solve J dt = -r for the correction trace.
+    """Solve J dt = -r for the correction trace, J the linearization at a
+    trace or at a SurfaceState (one state serves every matvec).
 
     With border = (b, c, c_alpha, n_val) it solves the bordered system
         [J  b      ] [da    ]     [r    ]
@@ -149,8 +155,9 @@ def solve_newton_step(t1: np.ndarray, r: np.ndarray, p: Params, g: Grid,
     """
     m = g.n_modes
     rhs = -cosine_coefficients(r, g)
+    state = SurfaceState.of(t1_or_state, p, g)
     if border is None and _use_dense(cfg, g):
-        jac = dense_jacobian(t1, p, g)
+        jac = dense_jacobian(state, p, g)
         try:
             sol = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError as exc:
@@ -163,7 +170,7 @@ def solve_newton_step(t1: np.ndarray, r: np.ndarray, p: Params, g: Grid,
 
     def jac_coeffs(a):
         return cosine_coefficients(
-            jacobian_apply(t1, values_from_cosine(a, g), p, g), g)
+            jacobian_apply(state, values_from_cosine(a, g), p, g), g)
 
     matvec = jac_coeffs
     if border is not None:
@@ -222,8 +229,8 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
         return float(c @ (cosine_coefficients(t_c, g) - a0)
                      + c_alpha * (alpha - alpha0))
 
-    r, n_val = residual(t, p, g), 0.0
-    norm = float(np.max(np.abs(r)))
+    state, n_val = SurfaceState(t, p, g), 0.0
+    norm = float(np.max(np.abs(state.residual)))
     history = [norm]
     lu = None
 
@@ -232,18 +239,19 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
             return build_solution(t, p, g, cfg.tol, history)
         fresh = True
         if tangent is None:
-            dt, d_alpha = solve_newton_step(t, r, p, g, cfg), 0.0
+            dt, d_alpha = solve_newton_step(state, state.residual, p, g, cfg), 0.0
         elif _use_dense(cfg, g):
             fresh = lu is None or norm > 0.25 * last_norm
             if fresh:
-                lu = _bordered_lu(t, p, g, c, c_alpha)
-            delta = lu_solve(lu, -np.append(cosine_coefficients(r, g), n_val))
+                lu = _bordered_lu(state, c, c_alpha)
+            delta = lu_solve(lu, -np.append(cosine_coefficients(state.residual, g),
+                                            n_val))
             if not np.all(np.isfinite(delta)):
                 raise SingularLinearSolve("bordered solve produced non-finite update")
             dt, d_alpha = values_from_cosine(delta[:-1], g), float(delta[-1])
         else:
-            b = cosine_coefficients(alpha_derivative(t, p, g), g)
-            dt, d_alpha = solve_newton_step(t, r, p, g, cfg,
+            b = cosine_coefficients(state.alpha_derivative, g)
+            dt, d_alpha = solve_newton_step(state, state.residual, p, g, cfg,
                                             border=(b, c, c_alpha, n_val))
         last_norm = norm
 
@@ -260,14 +268,14 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
                     step *= cfg.damping
                     continue
                 saw_admissible = True
-                rc = residual(cand, p_c, g)
+                state_c = SurfaceState(cand, p_c, g)
             except NonFiniteTrace:
                 step *= cfg.damping
                 continue
             n_c = arclength_row(cand, alpha)
-            normc = max(float(np.max(np.abs(rc))), abs(n_c))
+            normc = max(float(np.max(np.abs(state_c.residual))), abs(n_c))
             if normc < norm:
-                t, p, r, n_val, norm = cand, p_c, rc, n_c, normc
+                t, p, state, n_val, norm = cand, p_c, state_c, n_c, normc
                 history.append(norm)
                 accepted = True
                 break

@@ -71,7 +71,7 @@ def ddx(t: np.ndarray, g: Grid) -> np.ndarray:
     avoid spurious odd components.
     """
     t = _check_trace(t, g)
-    return _apply_multiplier(t, _ddx_multiplier(g.wavenumbers))
+    return _apply_multiplier(t, g.ddx_symbol)
 
 
 def dtn(t: np.ndarray, g: Grid) -> np.ndarray:
@@ -82,7 +82,18 @@ def dtn(t: np.ndarray, g: Grid) -> np.ndarray:
     exactly 1 (the linear extension u = y).
     """
     t = _check_trace(t, g)
-    return _apply_multiplier(t, dtn_multiplier(g.wavenumbers))
+    return _apply_multiplier(t, g.dtn_symbol)
+
+
+def surface_gradient(t: np.ndarray, g: Grid):
+    """(ddx(t), dtn(t)), the gradient of the harmonic extension on the
+    surface, from one forward transform; each equals the separate call
+    exactly."""
+    t = _check_trace(t, g)
+    c = np.fft.rfft(t, axis=-1)
+    n = g.n_points
+    return (np.fft.irfft(c * g.ddx_symbol, n=n, axis=-1),
+            np.fft.irfft(c * g.dtn_symbol, n=n, axis=-1))
 
 
 def _check_height(y: float) -> float:
@@ -100,25 +111,35 @@ def eval_interior(t: np.ndarray, g: Grid, y: float) -> np.ndarray:
     return _apply_multiplier(_check_trace(t, g), _sinh_ratio(g.wavenumbers, y))
 
 
-def harmonic_fields(t: np.ndarray, g: Grid, ys):
-    """Harmonic extension w of t and its derivatives w_x, w_y at the heights
-    ys in [0, 1], each of shape (len(ys),) + t.shape, from one transform.
+def harmonic_rows(t: np.ndarray, g: Grid, ys):
+    """Yield the harmonic extension w of t and its derivatives w_x, w_y at
+    each height y of ys in [0, 1], as one (w, w_x, w_y) per height, from one
+    forward transform of t.
 
-    t may be a batch of traces on its leading axes.  The rows at y = 1 are
-    exactly t, ddx(t) and dtn(t).
+    t may be a batch of traces on its leading axes.  The row at y = 1 is
+    exactly t, ddx(t) and dtn(t).  The height symbols are built per row and
+    not kept, so a caller that consumes one row at a time holds one row.
     """
     t = _check_trace(t, g)
     ys = [_check_height(y) for y in ys]
     k, n = g.wavenumbers, g.n_points
     c = np.fft.rfft(t, axis=-1)
-    cx = c * _ddx_multiplier(k)
-    w, w_x, w_y = (np.empty((len(ys),) + t.shape) for _ in range(3))
-    for i, y in enumerate(ys):
+    cx = c * g.ddx_symbol
+    for y in ys:
         sinh_y = _sinh_ratio(k, y)          # exactly 1 at y = 1
-        w[i] = t if y == 1.0 else np.fft.irfft(c * sinh_y, n=n, axis=-1)
-        w_x[i] = np.fft.irfft(cx * sinh_y, n=n, axis=-1)
-        cosh_y = dtn_multiplier(k) if y == 1.0 else _cosh_ratio(k, y)
-        w_y[i] = np.fft.irfft(c * cosh_y, n=n, axis=-1)
+        w = t if y == 1.0 else np.fft.irfft(c * sinh_y, n=n, axis=-1)
+        w_x = np.fft.irfft(cx * sinh_y, n=n, axis=-1)
+        cosh_y = g.dtn_symbol if y == 1.0 else _cosh_ratio(k, y)
+        yield w, w_x, np.fft.irfft(c * cosh_y, n=n, axis=-1)
+
+
+def harmonic_fields(t: np.ndarray, g: Grid, ys):
+    """The rows of harmonic_rows stacked: w, w_x and w_y, each of shape
+    (len(ys),) + t.shape."""
+    t = _check_trace(t, g)
+    w, w_x, w_y = (np.empty((len(ys),) + t.shape) for _ in range(3))
+    for i, row in enumerate(harmonic_rows(t, g, ys)):
+        w[i], w_x[i], w_y[i] = row
     return w, w_x, w_y
 
 
@@ -167,7 +188,7 @@ def _cosine_weights(g: Grid) -> np.ndarray:
 def cosine_coefficients(t: np.ndarray, g: Grid) -> np.ndarray:
     """Cosine coefficients a_n of (the even part of) a trace."""
     t = _check_trace(t, g)
-    return np.fft.rfft(t, axis=-1).real * _cosine_weights(g)
+    return np.fft.rfft(t, axis=-1).real * g.cosine_weights
 
 
 def values_from_cosine(a: np.ndarray, g: Grid) -> np.ndarray:
@@ -175,7 +196,7 @@ def values_from_cosine(a: np.ndarray, g: Grid) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape[-1] != g.n_modes:
         raise ValueError("coefficient length does not match grid")
-    c = a / _cosine_weights(g)
+    c = a / g.cosine_weights
     return np.fft.irfft(c.astype(complex), n=g.n_points, axis=-1)
 
 

@@ -7,14 +7,21 @@ t2 = -gamma t1 - (gamma/2) t1^2 pointwise, and in conformal variables the
 electric potential problem is solved exactly by the linear profile, so t3
 and its normal derivative vanish identically.  The three-component form,
 which keeps both as unknowns, is a test oracle (tests/three_component.py).
+
+SurfaceState holds the surface fields of one iterate, its residual and the
+pointwise coefficients of the linearization, so that the residual, the alpha
+derivative and every Jacobian application at that iterate share one
+evaluation of the base state.
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .model import Grid, Params
-from .spectral import ddx, dtn, dtn_multiplier, harmonic_fields
+from .spectral import dtn, dtn_multiplier, harmonic_fields, surface_gradient
 
 # Heights inside the strip where the pointwise checks sample, besides y = 1.
 INTERIOR_LEVELS = (0.25, 0.5, 0.75)
@@ -34,56 +41,77 @@ def eliminated_t2(t1: np.ndarray, p: Params) -> np.ndarray:
     return -p.gamma * t1 - 0.5 * p.gamma * t1 * t1
 
 
+class SurfaceState:
+    """The surface fields of one iterate (t1, alpha) and its Bernoulli
+    residual, from two forward transforms: one of t1, one of t2.
+
+    w1x = ddx(t1), w1y = dtn(t1), w2y = dtn(t2) with t2 = eliminated_t2(t1);
+    stream = gamma (t1 + w1y + t1 w1y) + w2y + 1, gradsq = w1x^2 + (1 + w1y)^2
+    and stag = 1 + eps1 - 2 alpha t1.  The residual is checked finite on
+    construction.  A Newton iterate builds one state, and every application
+    of its linearization (jacobian_apply) reads the state instead of
+    re-deriving the fields.
+    """
+
+    def __init__(self, t1: np.ndarray, p: Params, g: Grid):
+        t1 = np.asarray(t1, dtype=float)
+        self.t1, self.params, self.grid = t1, p, g
+        self.w1x, self.w1y = surface_gradient(t1, g)
+        self.w2y = dtn(eliminated_t2(t1, p), g)
+        self.stream = p.gamma * (t1 + self.w1y + t1 * self.w1y) + self.w2y + 1.0
+        self.gradsq = self.w1x * self.w1x + (1.0 + self.w1y) ** 2
+        self.stag = 1.0 + p.eps1 - 2.0 * p.alpha * t1
+        # R = (gamma (t1 + w1y + t1 w1y) + w2y + 1)^2 + eps1
+        #     - (1 + eps1 - 2 alpha t1) (w1x^2 + (1 + w1y)^2)
+        self.residual = self.stream * self.stream + p.eps1 - self.stag * self.gradsq
+        _require_finite(self.residual, "Bernoulli residual")
+
+    @classmethod
+    def of(cls, base, p: Params, g: Grid) -> "SurfaceState":
+        """base itself if it is a state of (p, g), else the state of the trace base."""
+        if not isinstance(base, cls):
+            return cls(base, p, g)
+        if base.params != p or base.grid is not g:
+            raise ValueError("state was built for other parameters or another grid")
+        return base
+
+    @property
+    def alpha_derivative(self) -> np.ndarray:
+        """Partial derivative of the Bernoulli residual with respect to alpha."""
+        return 2.0 * self.t1 * self.gradsq
+
+    @cached_property
+    def coefficients(self):
+        """Pointwise (a0, a1, a2, a3, a4) of the linearization
+        J dt = a0 dt + a1 dtn(dt) + a2 ddx(dt) + a3 dtn(a4 dt)."""
+        p, t1, w1y = self.params, self.t1, self.w1y
+        return (2.0 * self.stream * p.gamma * (1.0 + w1y) + 2.0 * p.alpha * self.gradsq,
+                2.0 * self.stream * p.gamma * (1.0 + t1) - 2.0 * self.stag * (1.0 + w1y),
+                -2.0 * self.stag * self.w1x,
+                2.0 * self.stream,
+                -p.gamma * (1.0 + t1))
+
+
 def residual(t1: np.ndarray, p: Params, g: Grid) -> np.ndarray:
     """Pointwise Bernoulli residual on the surface; identically zero iff
-    (t1, alpha) solves the discrete system.
+    (t1, alpha) solves the discrete system.  See SurfaceState."""
+    return SurfaceState(t1, p, g).residual
 
-    R = (gamma (t1 + w1y + t1 w1y) + w2y + 1)^2 + eps1
-        - (1 + eps1 - 2 alpha t1) (w1x^2 + (1 + w1y)^2)
+
+def jacobian_apply(base, dt: np.ndarray, p: Params, g: Grid) -> np.ndarray:
+    """Directional derivative of the Bernoulli residual at base in direction dt.
+
+    base is a trace t1 or the SurfaceState built from it with the same p and
+    g; a state is reused as is.  Linear in dt; at t1 = 0 its action on
+    cos(kx) is the scalar multiplier linear_multiplier(k) times cos(kx).  dt
+    may be a batch (m, N).
     """
-    t1 = np.asarray(t1, dtype=float)
-    w1x = ddx(t1, g)
-    w1y = dtn(t1, g)
-    w2y = dtn(eliminated_t2(t1, p), g)
-    stream = p.gamma * (t1 + w1y + t1 * w1y) + w2y + 1.0
-    gradsq = w1x * w1x + (1.0 + w1y) ** 2
-    out = stream * stream + p.eps1 - (1.0 + p.eps1 - 2.0 * p.alpha * t1) * gradsq
-    _require_finite(out, "Bernoulli residual")
-    return out
-
-
-def jacobian_apply(t1: np.ndarray, dt: np.ndarray, p: Params, g: Grid) -> np.ndarray:
-    """Directional derivative of the Bernoulli residual at t1 in direction dt.
-
-    Linear in dt; at t1 = 0 its action on cos(kx) is the scalar multiplier
-    linear_multiplier(k) times cos(kx).  dt may be a batch (m, N).
-    """
-    t1 = np.asarray(t1, dtype=float)
+    a0, a1, a2, a3, a4 = SurfaceState.of(base, p, g).coefficients
     dt = np.asarray(dt, dtype=float)
-    gam = p.gamma
-    w1x = ddx(t1, g)
-    w1y = dtn(t1, g)
-    w2y = dtn(eliminated_t2(t1, p), g)
-    stream = gam * (t1 + w1y + t1 * w1y) + w2y + 1.0
-    gradsq = w1x * w1x + (1.0 + w1y) ** 2
-    stag = 1.0 + p.eps1 - 2.0 * p.alpha * t1
-
-    d1 = ddx(dt, g)
-    h1 = dtn(dt, g)
-    h2 = dtn(-gam * (1.0 + t1) * dt, g)
-    dstream = gam * (dt + h1 + dt * w1y + t1 * h1) + h2
-    dgradsq = 2.0 * w1x * d1 + 2.0 * (1.0 + w1y) * h1
-    out = 2.0 * stream * dstream + 2.0 * p.alpha * dt * gradsq - stag * dgradsq
+    d1, h1 = surface_gradient(dt, g)
+    out = a0 * dt + a1 * h1 + a2 * d1 + a3 * dtn(a4 * dt, g)
     _require_finite(out, "Jacobian application")
     return out
-
-
-def alpha_derivative(t1: np.ndarray, p: Params, g: Grid) -> np.ndarray:
-    """Partial derivative of the Bernoulli residual with respect to alpha."""
-    t1 = np.asarray(t1, dtype=float)
-    w1x = ddx(t1, g)
-    w1y = dtn(t1, g)
-    return 2.0 * t1 * (w1x * w1x + (1.0 + w1y) ** 2)
 
 
 def linear_multiplier(k, p: Params):
@@ -124,6 +152,7 @@ def surface_gradient_bounds(t1: np.ndarray, p: Params, g: Grid):
     """(inf, sup) of |grad eta| on the surface, plus the stagnation monitor
     inf (1 + eps1 - 2 alpha t1).  Returns (m1, m2, m3)."""
     t1 = np.asarray(t1, dtype=float)
-    grad = np.sqrt(ddx(t1, g) ** 2 + (1.0 + dtn(t1, g)) ** 2)
+    w1x, w1y = surface_gradient(t1, g)
+    grad = np.sqrt(w1x ** 2 + (1.0 + w1y) ** 2)
     m1 = float(np.min(1.0 + p.eps1 - 2.0 * p.alpha * t1))
     return m1, float(np.min(grad)), float(np.max(grad))

@@ -1,7 +1,10 @@
 import numpy as np
 
+from ehdsolitary.model import Grid, Params
 from ehdsolitary.reduced_ode import _rk4_step
-from ehdsolitary.spectral import _apply_multiplier, _check_height, _check_trace, _cosh_ratio
+from ehdsolitary.spectral import (_apply_multiplier, _check_height, _check_trace,
+                                  _cosh_ratio, ddx, dtn)
+from ehdsolitary.system import _require_finite, eliminated_t2
 
 
 def random_even_trace(g, rng, n_modes=12, scale=1.0, decay=0.5):
@@ -62,3 +65,75 @@ def closed_orbit_return(q0, p, dt=1e-3, max_steps=200_000):
                 return float(np.hypot(ql - q0, vl))
         q, v = qn, vn
     return None
+
+
+def qhat_prime(d: float, p: Params):
+    d = np.asarray(d, dtype=float)
+    a = 0.5 * (2.0 - p.gamma)
+    b = 0.5 * p.gamma
+    # d/dd of (a/d + b d)^2 + eps1/d^2 + 2 alpha (d - 1)
+    val = (2.0 * (a / d + b * d) * (-a / (d * d) + b)
+           - 2.0 * p.eps1 / d ** 3 + 2.0 * p.alpha)
+    return float(val) if val.ndim == 0 else val
+
+
+def qhat_second(d: float, p: Params):
+    """Closed-form second derivative 3(2-gamma)^2/(2 d^4) + gamma^2/2 + 6 eps1/d^4,
+    strictly positive for every admissible parameter set."""
+    d = np.asarray(d, dtype=float)
+    val = 1.5 * (2.0 - p.gamma) ** 2 / d ** 4 + 0.5 * p.gamma ** 2 + 6.0 * p.eps1 / d ** 4
+    return float(val) if val.ndim == 0 else val
+
+
+# Residual, linearization and alpha derivative as each re-derives the base
+# state from the trace: the oracles for SurfaceState.
+def reference_residual(t1: np.ndarray, p: Params, g: Grid) -> np.ndarray:
+    """Pointwise Bernoulli residual on the surface; identically zero iff
+    (t1, alpha) solves the discrete system.
+
+    R = (gamma (t1 + w1y + t1 w1y) + w2y + 1)^2 + eps1
+        - (1 + eps1 - 2 alpha t1) (w1x^2 + (1 + w1y)^2)
+    """
+    t1 = np.asarray(t1, dtype=float)
+    w1x = ddx(t1, g)
+    w1y = dtn(t1, g)
+    w2y = dtn(eliminated_t2(t1, p), g)
+    stream = p.gamma * (t1 + w1y + t1 * w1y) + w2y + 1.0
+    gradsq = w1x * w1x + (1.0 + w1y) ** 2
+    out = stream * stream + p.eps1 - (1.0 + p.eps1 - 2.0 * p.alpha * t1) * gradsq
+    _require_finite(out, "Bernoulli residual")
+    return out
+
+
+def reference_jacobian_apply(t1: np.ndarray, dt: np.ndarray, p: Params, g: Grid) -> np.ndarray:
+    """Directional derivative of the Bernoulli residual at t1 in direction dt.
+
+    Linear in dt; at t1 = 0 its action on cos(kx) is the scalar multiplier
+    linear_multiplier(k) times cos(kx).  dt may be a batch (m, N).
+    """
+    t1 = np.asarray(t1, dtype=float)
+    dt = np.asarray(dt, dtype=float)
+    gam = p.gamma
+    w1x = ddx(t1, g)
+    w1y = dtn(t1, g)
+    w2y = dtn(eliminated_t2(t1, p), g)
+    stream = gam * (t1 + w1y + t1 * w1y) + w2y + 1.0
+    gradsq = w1x * w1x + (1.0 + w1y) ** 2
+    stag = 1.0 + p.eps1 - 2.0 * p.alpha * t1
+
+    d1 = ddx(dt, g)
+    h1 = dtn(dt, g)
+    h2 = dtn(-gam * (1.0 + t1) * dt, g)
+    dstream = gam * (dt + h1 + dt * w1y + t1 * h1) + h2
+    dgradsq = 2.0 * w1x * d1 + 2.0 * (1.0 + w1y) * h1
+    out = 2.0 * stream * dstream + 2.0 * p.alpha * dt * gradsq - stag * dgradsq
+    _require_finite(out, "Jacobian application")
+    return out
+
+
+def reference_alpha_derivative(t1: np.ndarray, p: Params, g: Grid) -> np.ndarray:
+    """Partial derivative of the Bernoulli residual with respect to alpha."""
+    t1 = np.asarray(t1, dtype=float)
+    w1x = ddx(t1, g)
+    w1y = dtn(t1, g)
+    return 2.0 * t1 * (w1x * w1x + (1.0 + w1y) ** 2)

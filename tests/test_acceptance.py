@@ -3,6 +3,9 @@
 
 Run:  pytest tests/test_acceptance.py -v -s
 """
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,6 @@ from ehdsolitary import (
     nodal_check,
     phase_portrait,
     qhat,
-    qhat_second,
     residual,
     shat,
 )
@@ -41,8 +43,10 @@ from ehdsolitary.continuation import (
 from ehdsolitary.newton import build_solution
 from ehdsolitary.spectral import dtn, dtn_multiplier
 
-from helpers import homoclinic_slope, random_even_trace
+from helpers import homoclinic_slope, qhat_second, random_even_trace
 from three_component import newton_solve_three_component
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "reference.json"
 
 
 def report(criterion: str, passed: bool, detail: str = ""):
@@ -292,6 +296,25 @@ def test_a11_end_to_end_branch(default_branch):
            f"{len(branch.points)} points, stop={stop}"
            + (f" ({branch.note})" if branch.note else "")
            + f", amplitude [{amps[0]:.2e} .. {amps[-1]:.3f}]")
+
+
+def test_branch_prefix_matches_benchmark_reference(default_branch):
+    """The first 45 points of the default branch are those of the benchmark's
+    reference run (bench/fixtures/reference.json): alpha and amplitude
+    within 1e3 tol, the same N at every point."""
+    branch, _ = default_branch
+    ref = json.loads(REFERENCE.read_text())["points"][:45]
+    tol = 1e3 * NewtonConfig().tol
+    assert len(branch.solutions) >= len(ref)
+    worst, moved = 0.0, []
+    for i, (sol, r) in enumerate(zip(branch.solutions, ref)):
+        gap = max(abs(sol.params.alpha - float.fromhex(r["alpha"])),
+                  abs(sol.amplitude - float.fromhex(r["amplitude"])))
+        worst = max(worst, gap)
+        if gap > tol or sol.grid.n_points != r["n_points"]:
+            moved.append(i)
+    report("branch prefix matches the benchmark reference", not moved,
+           f"worst gap {worst:.1e}" + (f", moved points {moved}" if moved else ""))
 
 
 @pytest.mark.xfail(

@@ -9,10 +9,10 @@ from ehdsolitary import (
     find_dstar,
     make_params,
     qhat,
-    qhat_second,
     shat,
 )
-from ehdsolitary.conjugate import qhat_prime
+
+from helpers import qhat_prime, qhat_second
 
 P_REF = dict(gamma=0.0, eps1=0.5, alpha=1.0)
 

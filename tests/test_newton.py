@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ehdsolitary import newton, system
 from ehdsolitary import (
     BaseParams,
     NewtonConfig,
@@ -10,9 +13,14 @@ from ehdsolitary import (
     make_params,
     newton_solve,
 )
+from ehdsolitary.continuation import refine_grid
+from ehdsolitary.io import load_solution
 from ehdsolitary.model import symmetry_error
+from ehdsolitary.spectral import cosine_coefficients
 from ehdsolitary.system import residual
 from three_component import newton_solve_three_component
+
+FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +150,82 @@ class TestAdmissibleSet:
         p = make_params(0.0, 0.5, 1.0)
         with pytest.raises(LeftAdmissibleSet):
             newton_solve(t0, p, g, NewtonConfig())
+
+
+class TestStateReuse:
+    """The base state of an iterate is derived once: every matvec and the
+    dense assembly read it."""
+
+    @pytest.fixture(scope="class")
+    def fixture_state(self):
+        """Branch fixture state 35 (amplitude 0.42, N = 1024)."""
+        sol, _, _ = load_solution(FIXTURES / "point_00035.json")
+        return sol
+
+    @staticmethod
+    def perturbed(t1, g):
+        return t1 * (1.0 + 1e-3 * np.cos(2.0 * np.pi * g.x / g.half_length))
+
+    @pytest.fixture(scope="class")
+    def stiff_state(self, fixture_state):
+        """The fixture state refined to N = 2048, perturbed by 1e-3 at the crest."""
+        (t1,), g = refine_grid([fixture_state.t1], fixture_state.grid)
+        return self.perturbed(t1, g), fixture_state.params, g
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Counters of SurfaceState constructions, Jacobian applications and
+        lambda_min results seen by newton."""
+        seen = {"states": 0, "matvecs": 0, "lambdas": []}
+        init = system.SurfaceState.__init__
+
+        def counting_init(self, *args):
+            seen["states"] += 1
+            init(self, *args)
+
+        def counting_apply(*args):
+            seen["matvecs"] += 1
+            return system.jacobian_apply(*args)
+
+        def recording_lambda(*args):
+            seen["lambdas"].append(system.lambda_min(*args))
+            return seen["lambdas"][-1]
+
+        monkeypatch.setattr(system.SurfaceState, "__init__", counting_init)
+        monkeypatch.setattr(newton, "jacobian_apply", counting_apply)
+        monkeypatch.setattr(newton, "lambda_min", recording_lambda)
+        return seen
+
+    @pytest.mark.parametrize("bordered", [False, True])
+    def test_krylov_step_builds_no_state(self, stiff_state, counts, bordered):
+        t1, p, g = stiff_state
+        state = system.SurfaceState(t1, p, g)
+        counts["states"] = 0
+        cfg = NewtonConfig(linear_solver="krylov")
+        border = None
+        if bordered:
+            c = cosine_coefficients(t1, g)
+            border = (cosine_coefficients(state.alpha_derivative, g), c, 1.0, 0.0)
+        newton.solve_newton_step(state, state.residual, p, g, cfg, border=border)
+        assert counts["states"] == 0
+        assert counts["matvecs"] > 10
+
+    def test_dense_step_builds_no_state(self, fixture_state, counts):
+        p, g = fixture_state.params, fixture_state.grid
+        t1 = self.perturbed(fixture_state.t1, g)
+        state = system.SurfaceState(t1, p, g)
+        counts["states"] = 0
+        newton.solve_newton_step(state, state.residual, p, g,
+                                 NewtonConfig(linear_solver="dense"))
+        assert counts["states"] == 0
+        assert counts["matvecs"] == 1
+
+    def test_one_state_per_residual_evaluation(self, stiff_state, counts):
+        # newton_solve evaluates a residual on every trace whose lambda_min is
+        # positive (the initial iterate and each admissible candidate), and
+        # build_solution checks the converged one once more
+        t1, p, g = stiff_state
+        sol = newton_solve(t1, p, g, NewtonConfig())
+        assert len(sol.norm_history) > 1
+        assert counts["matvecs"] > 10
+        assert counts["states"] == sum(lam > 0 for lam in counts["lambdas"]) + 1

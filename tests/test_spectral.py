@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from ehdsolitary import conjugate_primitive, ddx, dtn, eval_interior, make_grid
 from ehdsolitary.spectral import (
+    _cosine_weights,
+    _ddx_multiplier,
     cosine_basis,
     cosine_coefficients,
     dtn_multiplier,
     harmonic_fields,
+    surface_gradient,
     values_from_cosine,
 )
 
@@ -213,6 +216,15 @@ class TestHarmonicFields:
         assert np.array_equal(w_x[0], ddx(t, g))
         assert np.array_equal(w_y[0], dtn(t, g))
 
+    def test_surface_gradient_is_the_top_row(self):
+        g = make_grid(8.0, 64)
+        rng = np.random.default_rng(10)
+        for t in (random_even_trace(g, rng),
+                  np.stack([random_even_trace(g, rng) for _ in range(3)])):
+            t_x, t_y = surface_gradient(t, g)
+            assert np.array_equal(t_x, ddx(t, g))
+            assert np.array_equal(t_y, dtn(t, g))
+
     def test_interior_rows_match_eval_interior(self):
         g = make_grid(8.0, 64)
         t = random_even_trace(g, np.random.default_rng(8))
@@ -237,6 +249,31 @@ class TestHarmonicFields:
         for y in (1.5, -0.1):
             with pytest.raises(ValueError, match="outside"):
                 harmonic_fields(np.zeros(64), g, (0.5, y))
+
+
+class TestGridSymbols:
+    """Per-grid symbols cached on Grid: the fresh values, computed once,
+    read-only."""
+
+    @pytest.mark.parametrize("n", [16, 1024])
+    def test_bit_equal_to_fresh_symbols(self, n):
+        g = make_grid(7.5, n)
+        assert np.array_equal(g.dtn_symbol, dtn_multiplier(g.wavenumbers))
+        assert np.array_equal(g.ddx_symbol, _ddx_multiplier(g.wavenumbers))
+        assert np.array_equal(g.cosine_weights, _cosine_weights(g))
+
+    def test_same_object_on_repeat_access(self):
+        g = make_grid(7.5, 64)
+        for name in ("dtn_symbol", "ddx_symbol", "cosine_weights"):
+            assert getattr(g, name) is getattr(g, name)
+
+    def test_not_writeable(self):
+        g = make_grid(7.5, 64)
+        for name in ("dtn_symbol", "ddx_symbol", "cosine_weights"):
+            arr = getattr(g, name)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
 
 
 class TestConjugatePrimitive:

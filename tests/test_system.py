@@ -11,8 +11,13 @@ from ehdsolitary import (
     residual,
 )
 from ehdsolitary.spectral import dtn, dtn_multiplier
-from ehdsolitary.system import eliminated_t2
-from helpers import random_even_trace
+from ehdsolitary.system import NonFiniteTrace, SurfaceState, eliminated_t2
+from helpers import (
+    random_even_trace,
+    reference_alpha_derivative,
+    reference_jacobian_apply,
+    reference_residual,
+)
 
 PARAM_GRID = [(g, e, a)
               for g in (-0.6, -0.2, 0.0, 0.3, 0.7)
@@ -170,6 +175,60 @@ class TestJacobianApply:
         for i in range(4):
             single = jacobian_apply(t1, batch[i], p, g)
             assert np.max(np.abs(out[i] - single)) < 1e-13
+
+
+class TestSurfaceState:
+    """The residual, alpha derivative and linearization derived from one
+    SurfaceState against the oracles that re-derive the base state."""
+
+    G = make_grid(12.0, 128)
+
+    @staticmethod
+    def close(got, ref):
+        return np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.fixture(params=[0.0, 0.4, -0.3])
+    def case(self, request):
+        gamma = request.param
+        p = make_params(gamma, 0.5, 0.8 * (1.5 - gamma))      # alpha below alpha_cr
+        rng = np.random.default_rng(11)
+        t1 = random_even_trace(self.G, rng, scale=0.2)
+        batch = np.stack([random_even_trace(self.G, rng, scale=0.2) for _ in range(3)])
+        return p, t1, batch, rng
+
+    def test_residual_and_alpha_derivative(self, case):
+        p, t1, batch, _ = case
+        for base in (t1, batch):
+            state = SurfaceState(base, p, self.G)
+            assert self.close(state.residual, reference_residual(base, p, self.G))
+            assert self.close(residual(base, p, self.G),
+                              reference_residual(base, p, self.G))
+            assert self.close(state.alpha_derivative,
+                              reference_alpha_derivative(base, p, self.G))
+
+    def test_jacobian_apply_from_trace_and_state(self, case):
+        p, t1, batch, rng = case
+        dt = random_even_trace(self.G, rng)
+        dts = np.stack([random_even_trace(self.G, rng) for _ in range(3)])
+        for base, direction in ((t1, dt), (t1, dts), (batch, dts)):
+            ref = reference_jacobian_apply(base, direction, p, self.G)
+            for given in (base, SurfaceState(base, p, self.G)):
+                assert self.close(jacobian_apply(given, direction, p, self.G), ref)
+
+    def test_state_of_reuses_only_a_matching_state(self, case):
+        p, t1, _, _ = case
+        state = SurfaceState(t1, p, self.G)
+        assert SurfaceState.of(state, p, self.G) is state
+        with pytest.raises(ValueError, match="other parameters"):
+            SurfaceState.of(state, p.with_alpha(0.5 * p.alpha), self.G)
+        with pytest.raises(ValueError, match="another grid"):
+            SurfaceState.of(state, p, make_grid(12.0, 128))
+
+    def test_non_finite_trace_rejected(self):
+        t1 = np.zeros(self.G.n_points)
+        t1[5] = np.nan
+        with pytest.raises(NonFiniteTrace):
+            SurfaceState(t1, make_params(0.0, 0.5, 1.0), self.G)
 
 
 class TestLambdaMin:
