@@ -226,7 +226,6 @@ def cmd_continue(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    config = _load_config(args.config)
     if args.input is None:
         print("diagnose: --input FILE is required", file=sys.stderr)
         return EXIT_VALIDATION
@@ -327,9 +326,13 @@ def cmd_ode(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sp, *, alpha=False, eps=False, grid=False):
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--eps1", type=float, default=None)
+def _add_common(sp, *, params=True, alpha=False, eps=False, grid=False,
+                report=False):
+    """Add the flags a subcommand reads; every subcommand takes --out."""
+    if params:
+        sp.add_argument("--gamma", type=float, default=None)
+        sp.add_argument("--eps1", type=float, default=None)
+        sp.add_argument("--config", type=str, default=None)
     if alpha:
         sp.add_argument("--alpha", type=float, default=None)
     if eps:
@@ -339,8 +342,8 @@ def _add_common(sp, *, alpha=False, eps=False, grid=False):
         sp.add_argument("--n-points", dest="n_points", type=int, default=None)
         sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--config", type=str, default=None)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    if report:
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("dispersion", help="linearization multiplier table and root")
-    _add_common(sp, alpha=True)
+    _add_common(sp, alpha=True, report=True)
     sp.set_defaults(func=cmd_dispersion)
 
     sp = sub.add_parser("solve", help="one Newton solve from the asymptotic initializer")
@@ -360,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("continue", help="follow the solitary branch")
-    _add_common(sp, eps=True, grid=True)
+    _add_common(sp, grid=True, report=True)
     sp.add_argument("--eps-start", dest="eps_start", type=float, default=None)
     sp.add_argument("--max-points", dest="max_points", type=int, default=None)
     sp.add_argument("--store-every", dest="store_every", type=int, default=None)
@@ -368,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("diagnose", help="re-run all checks on a stored solution")
     sp.add_argument("--input", type=str, default=None)
-    _add_common(sp)
+    _add_common(sp, params=False, report=True)
     sp.set_defaults(func=cmd_diagnose)
 
     sp = sub.add_parser("conjugate", help="laminar conjugate-flow report")
-    _add_common(sp, alpha=True)
+    _add_common(sp, alpha=True, report=True)
     sp.set_defaults(func=cmd_conjugate)
 
     sp = sub.add_parser("ode", help="reduced planar dynamics phase portrait")

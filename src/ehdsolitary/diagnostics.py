@@ -14,8 +14,8 @@ import numpy as np
 
 from .model import WaveSolution, symmetry_error
 from .spectral import conjugate_primitive, ddx, dtn, harmonic_fields, harmonic_rows
-from .system import (INTERIOR_LEVELS, eliminated_t2, lambda_min, residual,
-                     surface_gradient_bounds)
+from .system import (INTERIOR_LEVELS, SurfaceState, eliminated_t2, lambda_min,
+                     residual, surface_gradient_bounds)
 
 
 class DegenerateJacobian(ArithmeticError):
@@ -34,12 +34,9 @@ def _surface_arrays(sol: WaveSolution):
     return eta, eta_x, eta_y, zeta_x, zeta_y
 
 
-def gamma_field_arrays(sol: WaveSolution):
-    """Velocity and electric components on the surface as arrays (u, v, e1, e2).
-
-    With the electric potential equal to the vertical coordinate in conformal
-    variables, e1 = -eta_x/|grad eta|^2 and e2 = eta_y/|grad eta|^2.
-    """
+def _surface_fields(sol: WaveSolution):
+    """((eta_x, eta_y), (u, v, e1, e2)) on the surface, from one evaluation
+    of the surface arrays."""
     p = sol.params
     eta, eta_x, eta_y, zeta_x, zeta_y = _surface_arrays(sol)
     gradsq = eta_x ** 2 + eta_y ** 2
@@ -50,7 +47,16 @@ def gamma_field_arrays(sol: WaveSolution):
     v = (eta_x * zeta_y - eta_y * zeta_x) / gradsq
     e1 = -eta_x / gradsq
     e2 = eta_y / gradsq
-    return u, v, e1, e2
+    return (eta_x, eta_y), (u, v, e1, e2)
+
+
+def gamma_field_arrays(sol: WaveSolution):
+    """Velocity and electric components on the surface as arrays (u, v, e1, e2).
+
+    With the electric potential equal to the vertical coordinate in conformal
+    variables, e1 = -eta_x/|grad eta|^2 and e2 = eta_y/|grad eta|^2.
+    """
+    return _surface_fields(sol)[1]
 
 
 def bernoulli_field_residual(sol: WaveSolution) -> float:
@@ -67,8 +73,7 @@ def bernoulli_field_residual(sol: WaveSolution) -> float:
 def kinematic_residual(sol: WaveSolution) -> float:
     """Sup-norm of the two surface orthogonality identities
     u eta_x - v eta_y and e1 eta_y + e2 eta_x."""
-    u, v, e1, e2 = gamma_field_arrays(sol)
-    _, eta_x, eta_y, _, _ = _surface_arrays(sol)
+    (eta_x, eta_y), (u, v, e1, e2) = _surface_fields(sol)
     r1 = u * eta_x - v * eta_y
     r2 = e1 * eta_y + e2 * eta_x
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
@@ -328,11 +333,8 @@ def prop65_check(sol: WaveSolution, tol: float = 1e-9) -> BoundsReport:
     checks = [BoundCheck(name="theta_y vs 1", status="degenerate-equality",
                          worst_margin=0.0)]
 
-    t2 = eliminated_t2(t1, p)
-    eta = 1.0 + t1
-    eta_y = 1.0 + dtn(t1, g)
-    zeta_y = (1.0 - p.gamma) + dtn(t2, g)
-    psi_y = zeta_y + p.gamma * eta * eta_y
+    # psi_y = zeta_y + gamma eta eta_y is the state's stream factor
+    psi_y = SurfaceState(t1, p, g).stream
 
     if p.gamma <= 0:
         bound = 1.0 - 0.5 * p.gamma

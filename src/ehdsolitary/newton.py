@@ -3,16 +3,21 @@ fixed alpha and, bordered by an arclength row, as the pseudo-arclength
 corrector.
 
 The unknown is an even trace, represented by its cosine coefficients for the
-linear solves.  Two linear paths, chosen by NewtonConfig.linear_solver and
-dense_max_n: a dense collocation Jacobian with LU (deterministic, default for
-N <= 1024) and preconditioned GMRES using the uniform-stream multiplier as
-the preconditioner.  Above dense_max_n the corrector's bordered step (the
-Jacobian augmented with the alpha column and the arclength row) is solved by
-the same GMRES call, matrix-free.
+linear solves.  Every Newton step is one solve of the bordered system
+    [J  b      ] [da    ]     [R    ]
+    [c  c_alpha] [dalpha] = - [n_val]
+(Keller's bordered Newton), b the cosine coefficients of dR/dalpha.  The
+corrector's last row is the arclength constraint; a fixed-alpha solve pins
+alpha with c = 0, c_alpha = 1, n_val = 0, which gives dalpha = 0 exactly.
+The bordered system is solved by LU of the dense collocation matrix
+(deterministic, default for N <= DENSE_MAX_N) or by preconditioned GMRES on
+the same operator, matrix-free, with the uniform-stream multiplier as the
+preconditioner.
 
 Each accepted iterate is one SurfaceState, the one its residual came from.
-The state is handed to the dense assembly, the bordered LU and every GMRES
-matvec, so none of them re-derives the base fields of the iterate.
+The state is handed to the dense assembly and every GMRES matvec, so none of
+them re-derives the base fields of the iterate, and the converged state
+gives the solution's residual.
 """
 from __future__ import annotations
 
@@ -30,8 +35,14 @@ from .system import (
     jacobian_apply,
     lambda_min,
     linear_multiplier,
-    residual,
 )
+
+MAX_ITER = 40              # Newton steps per solve
+DAMPING = 0.5              # backtracking factor
+MIN_STEP = 2.0 ** -10      # smallest damped step tried
+DENSE_MAX_N = 1024         # linear_solver="auto" takes the dense LU up to this N
+KRYLOV_RTOL = 1e-10
+KRYLOV_MAXITER = 400
 
 
 class NewtonError(RuntimeError):
@@ -58,46 +69,30 @@ class SingularLinearSolve(NewtonError):
 @dataclass(frozen=True)
 class NewtonConfig:
     tol: float = 1e-11            # sup-norm residual tolerance
-    max_iter: int = 40
-    damping: float = 0.5          # backtracking factor
-    min_step: float = 2.0 ** -10
     linear_solver: str = "auto"   # auto | dense | krylov
-    dense_max_n: int = 1024       # auto picks dense up to this N
-    krylov_rtol: float = 1e-10
-    krylov_maxiter: int = 400
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError("damping must lie in (0, 1)")
-        if not self.min_step > 0:
-            raise ValueError("min_step must be > 0")
-        if not self.krylov_rtol > 0:
-            raise ValueError("krylov_rtol must be > 0")
-        if self.krylov_maxiter < 1:
-            raise ValueError("krylov_maxiter must be >= 1")
-        if self.dense_max_n < 16:
-            raise ValueError("dense_max_n must be >= 16")
         if self.linear_solver not in ("auto", "dense", "krylov"):
             raise ValueError("linear_solver must be auto, dense or krylov")
 
 
-def build_solution(t1: np.ndarray, p: Params, g: Grid, tol: float,
+def build_solution(t1_or_state, p: Params, g: Grid, tol: float,
                    history=None) -> WaveSolution:
-    """WaveSolution record for a trace whose residual already meets tol."""
-    rnorm = float(np.max(np.abs(residual(t1, p, g))))
+    """WaveSolution record for a trace or SurfaceState whose residual already
+    meets tol; a state's residual is read, not evaluated again."""
+    state = SurfaceState.of(t1_or_state, p, g)
+    rnorm = float(np.max(np.abs(state.residual)))
     if rnorm > tol:
         raise NewtonError(f"residual norm {rnorm:.3e} exceeds tolerance {tol:.1e}")
     return WaveSolution(
         params=p,
         grid=g,
-        t1=np.array(t1, dtype=float),
+        t1=np.array(state.t1, dtype=float),
         residual_norm=rnorm,
-        amplitude=amplitude_of(t1, g),
-        tail=tail_of(t1, g),
+        amplitude=amplitude_of(state.t1, g),
+        tail=tail_of(state.t1, g),
         norm_history=list(history) if history is not None else None,
     )
 
@@ -119,78 +114,77 @@ def _preconditioner(p: Params, g: Grid) -> np.ndarray:
     return 1.0 / np.maximum(m, floor)
 
 
-def _bordered_lu(state: SurfaceState, c: np.ndarray, c_alpha: float):
-    """LU factorization of the dense bordered Jacobian [J b; c c_alpha]."""
-    p, g = state.params, state.grid
-    b = cosine_coefficients(state.alpha_derivative, g)
-    big = np.block([[dense_jacobian(state, p, g), b[:, None]],
-                    [c[None, :], np.array([[c_alpha]])]])
-    try:
-        return lu_factor(big)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SingularLinearSolve(f"bordered factorization failed: {exc}") from exc
-
-
 def _use_dense(cfg: NewtonConfig, g: Grid) -> bool:
-    if cfg.linear_solver == "dense":
-        return True
-    if cfg.linear_solver == "krylov":
-        return False
-    return g.n_points <= cfg.dense_max_n
+    if cfg.linear_solver == "auto":
+        return g.n_points <= DENSE_MAX_N
+    return cfg.linear_solver == "dense"
+
+
+def _bordered_solver(state: SurfaceState, c: np.ndarray, c_alpha: float,
+                     cfg: NewtonConfig, b: np.ndarray | None = None):
+    """The linear step (r, n_val) -> (dt, dalpha) of the bordered system
+    [J b; c c_alpha] at state, b defaulting to the state's dR/dalpha.
+
+    Dense: one LU of the (M+1, M+1) matrix, reused by every call.  Krylov:
+    each call is one GMRES solve, preconditioned by diag(1/|m(k)|, 1),
+    matrix-free, so memory stays O(N).  The bordered operator stays
+    invertible at an alpha fold, where J is singular.
+    """
+    p, g = state.params, state.grid
+    m = g.n_modes
+    if b is None:
+        b = cosine_coefficients(state.alpha_derivative, g)
+    if _use_dense(cfg, g):
+        big = np.block([[dense_jacobian(state, p, g), b[:, None]],
+                        [c[None, :], np.array([[c_alpha]])]])
+        try:
+            lu = lu_factor(big)
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise SingularLinearSolve(f"bordered factorization failed: {exc}") from exc
+        solve = lambda rhs: lu_solve(lu, rhs)
+    else:
+        diag = np.append(_preconditioner(p, g), 1.0)
+
+        def matvec(x):
+            jx = cosine_coefficients(
+                jacobian_apply(state, values_from_cosine(x[:m], g), p, g), g)
+            return np.append(jx + b * x[m], c @ x[:m] + c_alpha * x[m])
+
+        op = LinearOperator((m + 1, m + 1), matvec=matvec)
+        pre = LinearOperator((m + 1, m + 1), matvec=lambda a: diag * a)
+
+        def solve(rhs):
+            sol, info = gmres(op, rhs, rtol=KRYLOV_RTOL, atol=0.0,
+                              maxiter=KRYLOV_MAXITER, M=pre)
+            if info != 0:
+                raise SingularLinearSolve(f"preconditioned GMRES failed (info={info})")
+            return sol
+
+    def step(r, n_val):
+        delta = solve(-np.append(cosine_coefficients(r, g), n_val))
+        if not np.all(np.isfinite(delta)):
+            raise SingularLinearSolve("bordered solve produced a non-finite update")
+        return values_from_cosine(delta[:m], g), float(delta[m])
+
+    return step
 
 
 def solve_newton_step(t1_or_state, r: np.ndarray, p: Params, g: Grid,
                       cfg: NewtonConfig, border=None):
-    """Solve J dt = -r for the correction trace, J the linearization at a
-    trace or at a SurfaceState (one state serves every matvec).
+    """One Newton step at a trace or at a SurfaceState (one state serves
+    every matvec): the correction trace dt of J dt = -r.
 
     With border = (b, c, c_alpha, n_val) it solves the bordered system
         [J  b      ] [da    ]     [r    ]
         [c  c_alpha] [dalpha] = - [n_val]
-    instead, where b holds the cosine coefficients of dR/dalpha and the last
-    row is the arclength constraint, and returns (dt, dalpha).  A bordered
-    step always takes the Krylov path, preconditioned by diag(1/|m(k)|, 1);
-    its dense counterpart is the frozen bordered LU in newton_solve.  The
-    bordered operator stays invertible at an alpha fold, where J is singular.
+    instead and returns (dt, dalpha).  Without, the step is the same solve
+    with the pinned border (dR/dalpha, 0, 1, 0), whose dalpha is exactly 0.
     """
-    m = g.n_modes
-    rhs = -cosine_coefficients(r, g)
     state = SurfaceState.of(t1_or_state, p, g)
-    if border is None and _use_dense(cfg, g):
-        jac = dense_jacobian(state, p, g)
-        try:
-            sol = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularLinearSolve(f"dense factorization failed: {exc}") from exc
-        if not np.all(np.isfinite(sol)):
-            raise SingularLinearSolve("dense solve produced non-finite correction")
-        return values_from_cosine(sol, g)
-
-    diag = _preconditioner(p, g)
-
-    def jac_coeffs(a):
-        return cosine_coefficients(
-            jacobian_apply(state, values_from_cosine(a, g), p, g), g)
-
-    matvec = jac_coeffs
-    if border is not None:
-        b, c, c_alpha, n_val = border
-        diag = np.append(diag, 1.0)
-        rhs = np.append(rhs, -n_val)
-
-        def matvec(x):
-            return np.append(jac_coeffs(x[:m]) + b * x[m],
-                             c @ x[:m] + c_alpha * x[m])
-
-    size = rhs.size
-    op = LinearOperator((size, size), matvec=matvec)
-    pre = LinearOperator((size, size), matvec=lambda a: diag * a)
-    sol, info = gmres(op, rhs, rtol=cfg.krylov_rtol, atol=0.0,
-                      maxiter=cfg.krylov_maxiter, M=pre)
-    if info != 0 or not np.all(np.isfinite(sol)):
-        raise SingularLinearSolve(f"preconditioned GMRES failed (info={info})")
-    dt = values_from_cosine(sol[:m], g)
-    return dt if border is None else (dt, float(sol[m]))
+    if border is None:
+        return _bordered_solver(state, np.zeros(g.n_modes), 1.0, cfg)(r, 0.0)[0]
+    b, c, c_alpha, n_val = border
+    return _bordered_solver(state, c, c_alpha, cfg, b)(r, n_val)
 
 
 def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
@@ -199,19 +193,22 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
     """Damped Newton iteration on the surface equation, at fixed alpha or,
     with tangent = (c, c_alpha), as the pseudo-arclength corrector.
 
-    With a tangent alpha is an unknown too, held by the arclength row
-    <c, a - a0> + c_alpha (alpha - alpha0) = 0 through the initial point
-    (a: cosine coefficients of the trace), and the merit is max(|R|, |row|).
-    Every iterate is re-symmetrized to even; candidates with lambda <= 0,
-    alpha outside (0, alpha_cr) or no merit decrease are rejected by
-    backtracking.  Deterministic on the dense path.
+    Alpha is an unknown held by the row <c, a - a0> + c_alpha (alpha - alpha0)
+    = 0 through the initial point (a: cosine coefficients of the trace), and
+    the merit is max(|R|, |row|).  Without a tangent the row is pinned,
+    c = 0 and c_alpha = 1, so alpha stays fixed.  Every iterate is
+    re-symmetrized to even; candidates with lambda <= 0, alpha outside
+    (0, alpha_cr) or no merit decrease are rejected by backtracking.
+    Deterministic on the dense path.
 
-    The dense path has two Jacobian-refresh policies.  A fixed-alpha solve
-    refactors every step: a frozen Jacobian loses its quadratic tail.  The
-    corrector reuses the LU of [J dR/dalpha; c c_alpha] while the merit falls
-    4x per step and refreshes it on slower progress or a stall: branch step
-    control keys on the corrector's iteration counts, so refreshing every
-    step would move the branch points and cost more factorizations.
+    Only the dense corrector reuses its linearization: it keeps the LU of
+    [J dR/dalpha; c c_alpha] while the merit falls 4x per step and refreshes
+    it on slower progress or a stall, because branch step control keys on
+    the corrector's iteration counts, so refreshing every step would move
+    the branch points and cost more factorizations.  A fixed-alpha solve
+    refreshes every step (a frozen Jacobian loses its quadratic tail), and so
+    does the Krylov solver (a Krylov chord changes the corrector's iteration
+    counts at N = 2048 and 4096, and with them the branch points).
     """
     if not p.alpha < p.alpha_cr:
         raise NewtonError(
@@ -219,45 +216,31 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
     t = symmetrize(np.array(t1_init, dtype=float))
     if not lambda_min(t, p, g) > 0:
         raise LeftAdmissibleSet("initial iterate has lambda <= 0")
-    if tangent is not None:
-        c, c_alpha = tangent
-        a0, alpha0 = cosine_coefficients(t, g), p.alpha
+    c, c_alpha = (np.zeros(g.n_modes), 1.0) if tangent is None else tangent
+    a0, alpha0 = cosine_coefficients(t, g), p.alpha
 
     def arclength_row(t_c, alpha):
-        if tangent is None:
-            return 0.0
         return float(c @ (cosine_coefficients(t_c, g) - a0)
                      + c_alpha * (alpha - alpha0))
 
     state, n_val = SurfaceState(t, p, g), 0.0
     norm = float(np.max(np.abs(state.residual)))
     history = [norm]
-    lu = None
+    chord = tangent is not None and _use_dense(cfg, g)
+    step_of = None
 
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         if norm <= cfg.tol:
-            return build_solution(t, p, g, cfg.tol, history)
-        fresh = True
-        if tangent is None:
-            dt, d_alpha = solve_newton_step(state, state.residual, p, g, cfg), 0.0
-        elif _use_dense(cfg, g):
-            fresh = lu is None or norm > 0.25 * last_norm
-            if fresh:
-                lu = _bordered_lu(state, c, c_alpha)
-            delta = lu_solve(lu, -np.append(cosine_coefficients(state.residual, g),
-                                            n_val))
-            if not np.all(np.isfinite(delta)):
-                raise SingularLinearSolve("bordered solve produced non-finite update")
-            dt, d_alpha = values_from_cosine(delta[:-1], g), float(delta[-1])
-        else:
-            b = cosine_coefficients(state.alpha_derivative, g)
-            dt, d_alpha = solve_newton_step(state, state.residual, p, g, cfg,
-                                            border=(b, c, c_alpha, n_val))
+            return build_solution(state, p, g, cfg.tol, history)
+        fresh = step_of is None or not chord or norm > 0.25 * last_norm
+        if fresh:
+            step_of = _bordered_solver(state, c, c_alpha, cfg)
+        dt, d_alpha = step_of(state.residual, n_val)
         last_norm = norm
 
         step = 1.0
         accepted = saw_admissible = False
-        while step >= cfg.min_step:
+        while step >= MIN_STEP:
             alpha = p.alpha + step * d_alpha
             try:
                 cand = symmetrize(t + step * dt)
@@ -265,12 +248,12 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
                     raise NonFiniteTrace("candidate iterate")
                 p_c = replace(p, alpha=alpha) if 0.0 < alpha < p.alpha_cr else None
                 if p_c is None or lambda_min(cand, p_c, g) <= 0:
-                    step *= cfg.damping
+                    step *= DAMPING
                     continue
                 saw_admissible = True
                 state_c = SurfaceState(cand, p_c, g)
             except NonFiniteTrace:
-                step *= cfg.damping
+                step *= DAMPING
                 continue
             n_c = arclength_row(cand, alpha)
             normc = max(float(np.max(np.abs(state_c.residual))), abs(n_c))
@@ -279,12 +262,12 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
                 history.append(norm)
                 accepted = True
                 break
-            step *= cfg.damping
+            step *= DAMPING
 
         if accepted:
             continue
         if not fresh:
-            lu = None             # stalled on a stale Jacobian; retry fresh
+            step_of = None        # stalled on a stale Jacobian; retry fresh
             continue
         if not saw_admissible:
             raise LeftAdmissibleSet(
@@ -293,7 +276,7 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
             f"damping stalled at residual {norm:.3e}", best_t1=t, history=history)
 
     if norm <= cfg.tol:
-        return build_solution(t, p, g, cfg.tol, history)
+        return build_solution(state, p, g, cfg.tol, history)
     raise NoConvergence(
         f"iteration budget exhausted at residual {norm:.3e}",
         best_t1=t, history=history)

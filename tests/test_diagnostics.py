@@ -24,7 +24,8 @@ from ehdsolitary.diagnostics import (
 )
 from ehdsolitary.model import WaveSolution
 from ehdsolitary.newton import build_solution
-from ehdsolitary.spectral import dtn_multiplier
+from ehdsolitary.spectral import dtn, dtn_multiplier, harmonic_fields
+from ehdsolitary.system import INTERIOR_LEVELS
 
 
 def trivial_solution(gamma, eps1, alpha, L=20.0, n=64):
@@ -228,6 +229,28 @@ class TestLaminarBounds:
         assert by_name["psi_y upper (gamma<=0)"].status == "degenerate-equality"
         assert by_name["psi_y lower (gamma>=0)"].status == "pass"
         assert not rep.failed
+
+    @pytest.mark.parametrize("gamma", [-0.3, 0.4])
+    def test_stream_factor_is_zeta_y_plus_gamma_eta_eta_y(self, gamma):
+        # the bounds read psi_y from SurfaceState.stream; the margins equal
+        # those of the field formula psi_y = zeta_y + gamma eta eta_y
+        eps1, g = 0.5, make_grid(40.0, 256)
+        t1 = 0.05 / np.cosh(0.3 * g.x) ** 2
+        sol = synthetic_solution(t1, gamma, eps1, 1.0, 40.0, 256)
+        t2 = -gamma * t1 - 0.5 * gamma * t1 ** 2
+        psi_y = ((1.0 - gamma) + dtn(t2, g)
+                 + gamma * (1.0 + t1) * (1.0 + dtn(t1, g)))
+        checks = {c.name: c for c in prop65_check(sol).checks}
+        if gamma < 0:
+            margin = checks["psi_y upper (gamma<=0)"].worst_margin
+            expected = float(np.min(1.0 - 0.5 * gamma - psi_y))
+        else:
+            _, gx, gy = harmonic_fields(t1, g, (1.0,) + INTERIOR_LEVELS)
+            grad_inf = float(np.min(gx ** 2 + (1.0 + gy) ** 2))
+            bound = min(2.0 - gamma + 2.0 * eps1, gamma * grad_inf)
+            margin = checks["psi_y lower (gamma>=0)"].worst_margin
+            expected = float(np.min(psi_y - bound))
+        assert margin == pytest.approx(expected, rel=1e-14, abs=1e-15)
 
     def test_positive_vorticity_lower_bound(self, rotational_wave):
         rep = prop65_check(rotational_wave)

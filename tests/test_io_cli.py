@@ -317,3 +317,23 @@ def test_continue_config_tunes_thresholds(tmp_path):
     _, _, _, header = load_branch(out / "branch.jsonl")
     assert header["thresholds"]["m2_tol"] == 0.005
     assert header["thresholds"]["tail_tol"] == 1e-8
+
+
+@pytest.mark.parametrize("argv", [
+    ["continue", "--eps", "0.01"],
+    ["diagnose", "--input", "solution.json", "--gamma", "0"],
+    ["diagnose", "--input", "solution.json", "--eps1", "0.5"],
+    ["diagnose", "--input", "solution.json", "--config", "run.json"],
+    ["solve", "--eps", "0.01", "--format", "csv"],
+    ["ode", "--format", "json"],
+], ids=["continue-eps", "diagnose-gamma", "diagnose-eps1", "diagnose-config",
+        "solve-format", "ode-format"])
+def test_unread_flags_are_rejected(argv, capsys):
+    # a subcommand accepts only the flags it reads; argparse exits with 2
+    # (continue's --eps is refused as an ambiguous prefix of --eps1 and
+    # --eps-start)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and argv[-2] in err

@@ -104,9 +104,38 @@ class TestNewtonSolve:
         assert sol.tail < 1e-9
 
 
+class TestPinnedBorder:
+    """A fixed-alpha step is the bordered step whose last row pins alpha:
+    border (dR/dalpha, 0, 1, 0)."""
+
+    @pytest.mark.parametrize("solver", ["dense", "krylov"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.4])
+    def test_fixed_alpha_step_is_pinned_bordered_step(self, gamma, solver):
+        g = make_grid(256.0, 512)
+        t0, p = init_small(0.02, BaseParams(gamma, 0.5), g)
+        state = system.SurfaceState(t0, p, g)
+        cfg = NewtonConfig(linear_solver=solver)
+        b = cosine_coefficients(state.alpha_derivative, g)
+        dt = newton.solve_newton_step(state, state.residual, p, g, cfg)
+        dt_b, d_alpha = newton.solve_newton_step(
+            state, state.residual, p, g, cfg, border=(b, np.zeros(g.n_modes), 1.0, 0.0))
+        assert d_alpha == 0.0
+        assert np.array_equal(dt, dt_b)
+        # and it is the Newton step J dt = -R
+        defect = system.jacobian_apply(state, dt, p, g) + state.residual
+        assert np.max(np.abs(defect)) <= 1e-8 * np.max(np.abs(state.residual))
+
+    @pytest.mark.parametrize("solver", ["dense", "krylov"])
+    def test_fixed_alpha_solve_keeps_alpha(self, setup, solver):
+        base, g = setup
+        t0, p = init_small(0.02, base, g)
+        sol = newton_solve(t0, p, g, NewtonConfig(linear_solver=solver))
+        assert len(sol.norm_history) > 1
+        assert sol.params.alpha == p.alpha
+
+
 @pytest.mark.parametrize("field,value", [
-    ("damping", 0.0), ("damping", 1.0), ("min_step", 0.0),
-    ("krylov_rtol", 0.0), ("krylov_maxiter", 0), ("dense_max_n", 15),
+    ("tol", 0.0), ("tol", -1e-11), ("linear_solver", "lu"),
 ])
 def test_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
@@ -223,9 +252,9 @@ class TestStateReuse:
     def test_one_state_per_residual_evaluation(self, stiff_state, counts):
         # newton_solve evaluates a residual on every trace whose lambda_min is
         # positive (the initial iterate and each admissible candidate), and
-        # build_solution checks the converged one once more
+        # build_solution reads the converged state's residual
         t1, p, g = stiff_state
         sol = newton_solve(t1, p, g, NewtonConfig())
         assert len(sol.norm_history) > 1
         assert counts["matvecs"] > 10
-        assert counts["states"] == sum(lam > 0 for lam in counts["lambdas"]) + 1
+        assert counts["states"] == sum(lam > 0 for lam in counts["lambdas"])

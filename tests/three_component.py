@@ -9,6 +9,7 @@ import numpy as np
 
 from ehdsolitary import Grid, NewtonConfig, NoConvergence, Params, SingularLinearSolve
 from ehdsolitary.model import symmetrize
+from ehdsolitary.newton import DAMPING, MAX_ITER, MIN_STEP
 from ehdsolitary.spectral import (
     cosine_basis,
     cosine_coefficients,
@@ -92,7 +93,7 @@ def newton_solve_three_component(t1_init, p: Params, g: Grid,
 
     norm = sup_norm(t1, t2, t3)
     history = [norm]
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         if norm <= cfg.tol:
             return t1, t2, t3, history
         jac = np.zeros((3 * m, 3 * m))
@@ -114,21 +115,21 @@ def newton_solve_three_component(t1_init, p: Params, g: Grid,
         du3 = values_from_cosine(upd[2 * m:], g)
 
         step, accepted = 1.0, False
-        while step >= cfg.min_step:
+        while step >= MIN_STEP:
             c1 = symmetrize(t1 + step * du1)
             c2 = symmetrize(t2 + step * du2)
             c3 = symmetrize(t3 + step * du3)
             try:
                 normc = sup_norm(c1, c2, c3)
             except NonFiniteTrace:
-                step *= cfg.damping
+                step *= DAMPING
                 continue
             if normc < norm:
                 t1, t2, t3, norm = c1, c2, c3, normc
                 history.append(norm)
                 accepted = True
                 break
-            step *= cfg.damping
+            step *= DAMPING
         if not accepted:
             raise NoConvergence(
                 f"three-component damping stalled at {norm:.3e}", history=history)
