@@ -50,13 +50,25 @@ def _auto_half_length(eps: float, eps1: float) -> float:
     return float(np.ceil(required * 1.25 / 32.0) * 32.0)
 
 
-def _load_config(path):
-    if path is None:
+# Parsed names a config file does not set: argparse's own, the file itself,
+# the output options, and ode's launch list.
+_NOT_IN_CONFIG = {"command", "func", "config", "out", "format", "q0_list"}
+
+
+def _load_config(args, extra=()):
+    """The JSON object of the --config file, or {} without one.  Its keys are
+    the subcommand's other flags plus extra; any other key, a typo or a
+    retired setting, is a validation error rather than silently ignored."""
+    if args.config is None:
         return {}
-    with open(path) as fh:
+    with open(args.config) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValidationError("config", "configuration file must hold a JSON object")
+    unknown = sorted(set(obj) - (set(vars(args)) - _NOT_IN_CONFIG) - set(extra))
+    if unknown:
+        raise ValidationError("config", f"unknown key(s) {', '.join(unknown)} "
+                              f"for {args.command}")
     return obj
 
 
@@ -84,7 +96,7 @@ def _write_report(out_dir, name, payload, fmt, run_config):
 
 
 def cmd_dispersion(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     gamma = _resolve(args, config, "gamma", 0.0)
     eps1 = _resolve(args, config, "eps1", 0.5)
     alpha = _resolve(args, config, "alpha", None)
@@ -141,7 +153,7 @@ def _solve_common(args, config):
 
 
 def cmd_solve(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     base, eps, g, tol = _solve_common(args, config)
     run_config = {"command": "solve", "gamma": base.gamma, "eps1": base.eps1,
                   "eps": eps, "alpha": base.alpha_cr - eps,
@@ -165,7 +177,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_continue(args) -> int:
-    config = _load_config(args.config)
+    # besides its flags, a continue config may set the stop thresholds
+    thresholds = {f.name for f in dataclasses.fields(ContinuationConfig)} \
+        - {"eps_start", "max_points", "newton"}
+    config = _load_config(args, thresholds)
     gamma = _resolve(args, config, "gamma", 0.0)
     eps1 = _resolve(args, config, "eps1", 0.5)
     eps_start = float(_resolve(args, config, "eps_start", 1e-3))
@@ -179,10 +194,7 @@ def cmd_continue(args) -> int:
 
     base = BaseParams(gamma, eps1)
     g = make_grid(half_length, n_points)
-    # any further continuation knob may ride in the config file by field name
-    tunable = {f.name for f in dataclasses.fields(ContinuationConfig)} \
-        - {"eps_start", "max_points", "newton"}
-    extra = {k: config[k] for k in config if k in tunable}
+    extra = {k: config[k] for k in config if k in thresholds}
     cfg = ContinuationConfig(eps_start=eps_start, max_points=max_points,
                              newton=NewtonConfig(tol=tol), **extra)
     run_config = {"command": "continue", "gamma": gamma, "eps1": eps1,
@@ -266,7 +278,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_conjugate(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     gamma = _resolve(args, config, "gamma", 0.0)
     eps1 = _resolve(args, config, "eps1", 0.5)
     alpha = _resolve(args, config, "alpha", None)
@@ -297,7 +309,7 @@ def cmd_conjugate(args) -> int:
 
 
 def cmd_ode(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     gamma = _resolve(args, config, "gamma", 0.0)
     eps1 = _resolve(args, config, "eps1", 0.0)
     eps = float(_resolve(args, config, "eps", 0.0))

@@ -2,12 +2,15 @@
 stepping in the distance to the critical speed, pseudo-arclength stepping at
 larger amplitude, and the limit monitors as stop conditions.
 
-The periodic box is adapted on the fly: it is widened (L and N doubled,
-spacing kept) whenever the measured tail exceeds tolerance, refined (N
-doubled at fixed L) when the cosine spectrum carries energy near the Nyquist
-band, and conservatively halved when the profile has become much narrower
-than the box.  All three regrid operations are exact on the trigonometric
-interpolant of an even trace.
+The periodic box is adapted on the fly: it is widened (L and N grown by
+WIDEN_FACTOR, spacing kept) whenever the measured tail exceeds tolerance,
+refined (N doubled at fixed L) when the cosine spectrum carries energy near
+the Nyquist band, and conservatively halved when the profile has become much
+narrower than the box.  All three regrid operations are exact on the
+trigonometric interpolant of an even trace.
+
+Step control and grid adaptation are module constants; ContinuationConfig
+holds only what a branch header records, plus the Newton configuration.
 """
 from __future__ import annotations
 
@@ -100,30 +103,37 @@ def init_small(eps: float, p0: BaseParams, g: Grid):
     return t1, p0.with_alpha(alpha)
 
 
+# Step control.
+EPS_GROWTH = 1.4        # geometric growth of the eps stage
+EPS_SWITCH_ITERS = 5    # leave the eps stage when Newton gets slower
+DS_MAX = 0.05           # step cap in the sup|dt1| + |dalpha| metric
+DS_MIN = 1e-8           # a step below this stops the branch on STEP_FAILURE
+DS_GROW = 1.3
+DS_SHRINK = 0.5
+FAST_ITERS = 4          # corrector speed that earns a step increase
+
+# Grid adaptation.
+MODE_TAIL_TOL = 1e-7    # relative cosine-spectrum content near Nyquist
+WIDEN_FACTOR = 1.3      # box growth ratio when the tail violates
+N_MAX = 12288
+MIN_HALF_LENGTH = 16.0
+SHRINK_SAFETY = 0.5     # predicted inner tail must be under this fraction of
+                        # tail_tol before halving the box (the halved solve is
+                        # verified and dropped on failure, so the margin is
+                        # hysteresis)
+
+
 @dataclass(frozen=True)
 class ContinuationConfig:
+    """The start, the point budget and the stop thresholds of a branch run:
+    what the branch header records, plus the Newton configuration."""
     eps_start: float = 1e-3
-    eps_growth: float = 1.4       # geometric growth of the eps stage
-    eps_switch_iters: int = 5     # leave the eps stage when Newton gets slower
-    ds_max: float = 0.05          # step cap in the sup|dt1| + |dalpha| metric
-    ds_min: float = 1e-8
-    ds_grow: float = 1.3
-    ds_shrink: float = 0.5
-    fast_iters: int = 4           # corrector speed that earns a step increase
     max_points: int = 500
     m1_tol: Optional[float] = None   # default 1e-2 * (1 + eps1), resolved at run time
     m2_tol: float = 1e-2
     m3_cap: float = 1e2
     f_cap: float = 1e2
     tail_tol: float = 1e-9
-    mode_tail_tol: float = 1e-7   # relative cosine-spectrum content near Nyquist
-    widen_factor: float = 1.3     # box growth ratio when the tail violates
-    n_max: int = 12288
-    min_half_length: float = 16.0
-    shrink_safety: float = 0.5    # predicted inner tail must be under this
-                                  # fraction of tail_tol before halving the box
-                                  # (the halved solve is verified and reverted
-                                  # on failure, so the margin is hysteresis)
     newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def resolved_m1_tol(self, eps1: float) -> float:
@@ -202,9 +212,9 @@ def _inner_tail(t1: np.ndarray, g: Grid) -> float:
 
 # --- the branch driver --------------------------------------------------------
 
-def _distance(t_a, alpha_a, t_b, alpha_b) -> float:
+def _step_length(dt1, dalpha) -> float:
     """Branch metric: sup|dt1| + |dalpha| with 1:1 weighting."""
-    return float(np.max(np.abs(t_a - t_b))) + abs(alpha_a - alpha_b)
+    return float(np.max(np.abs(dt1))) + abs(dalpha)
 
 
 def continue_branch(p0: BaseParams, g: Grid,
@@ -230,69 +240,65 @@ def continue_branch(p0: BaseParams, g: Grid,
     stop_reason: Optional[str] = None
 
     g_cur = g
-    prev: Optional[tuple] = None   # (t1, alpha) on g_cur
-    prev2: Optional[tuple] = None
+    prev: Optional[tuple] = None     # (t1, alpha) of the last point, on g_cur
+    secant: Optional[tuple] = None   # (dt1, dalpha) into prev, on g_cur
     s_val = 0.0
 
     def move_stored(mover):
-        """Apply a regrid operation to the remembered branch traces."""
-        nonlocal prev, prev2
-        stack = [q[0] for q in (prev, prev2) if q is not None]
-        if not stack:
-            return
-        moved = mover(stack)
+        """Apply a regrid operation to the remembered branch traces.  The
+        secant moves too: an eps-stage solve may regrid and then fail, and
+        the arclength stage starts from the secant on the new grid."""
+        nonlocal prev, secant
         if prev is not None:
-            prev = (moved[0], prev[1])
-        if prev2 is not None:
-            prev2 = (moved[1], prev2[1])
+            prev = (mover([prev[0]])[0], prev[1])
+        if secant is not None:
+            secant = (mover([secant[0]])[0], secant[1])
 
     def converge_adequate(t0, p: Params, sol=None):
         """Newton solve plus box adequacy: refine/widen until the spectral
         band and the tail pass, then optionally shrink an oversized box.
         A solution sol already converged at p on g_cur stands in for the
         first solve, which then counts zero iterations."""
-        nonlocal g_cur, prev, prev2
+        nonlocal g_cur
         iters = 0
         for _ in range(8):
             if sol is None:
                 sol = newton_solve(t0, p, g_cur, cfg.newton)
                 iters = len(sol.norm_history) - 1
-            if (_mode_tail_fraction(sol.t1, g_cur) > cfg.mode_tail_tol
-                    and 2 * g_cur.n_points <= cfg.n_max):
+            if (_mode_tail_fraction(sol.t1, g_cur) > MODE_TAIL_TOL
+                    and 2 * g_cur.n_points <= N_MAX):
                 (t0,), g_new = refine_grid([sol.t1], g_cur)
                 move_stored(lambda ts: refine_grid(ts, g_cur)[0])
                 g_cur, sol = g_new, None
                 continue
             if sol.tail > cfg.tail_tol:
-                (probe,), g_probe = widen_grid([sol.t1], g_cur, cfg.widen_factor)
-                if g_probe.n_points > cfg.n_max:
+                (probe,), g_probe = widen_grid([sol.t1], g_cur, WIDEN_FACTOR)
+                if g_probe.n_points > N_MAX:
                     raise NewtonError(
                         f"tail {sol.tail:.2e} above tolerance but the mode "
-                        f"budget n_max={cfg.n_max} is exhausted")
-                move_stored(lambda ts: widen_grid(ts, g_cur, cfg.widen_factor)[0])
+                        f"budget n_max={N_MAX} is exhausted")
+                move_stored(lambda ts: widen_grid(ts, g_cur, WIDEN_FACTOR)[0])
                 t0, g_cur, sol = probe, g_probe, None
                 continue
-            if (_inner_tail(sol.t1, g_cur) < cfg.shrink_safety * cfg.tail_tol
-                    and 0.5 * g_cur.half_length >= cfg.min_half_length):
+            if (_inner_tail(sol.t1, g_cur) < SHRINK_SAFETY * cfg.tail_tol
+                    and 0.5 * g_cur.half_length >= MIN_HALF_LENGTH):
                 shrunk = shrink_grid([sol.t1], g_cur)
                 if shrunk is not None:
                     (t_try,), g_try = shrunk
-                    g_old, prev_old, prev2_old = g_cur, prev, prev2
                     try:
+                        sol_try = newton_solve(t_try, p, g_try, cfg.newton)
+                    except NewtonError:
+                        return sol, iters
+                    if sol_try.tail <= cfg.tail_tol:
                         move_stored(lambda ts: shrink_grid(ts, g_cur)[0])
                         g_cur = g_try
-                        sol_try = newton_solve(t_try, p, g_cur, cfg.newton)
-                        if sol_try.tail <= cfg.tail_tol:
-                            return sol_try, iters
-                    except NewtonError:
-                        pass
-                    g_cur, prev, prev2 = g_old, prev_old, prev2_old
+                        return sol_try, iters
             return sol, iters
         raise NewtonError("box adaptation did not settle within 8 rounds")
 
     def accept(sol: WaveSolution) -> bool:
         """Record a converged point; returns False when the branch must stop."""
-        nonlocal s_val, prev, prev2, stop_reason, note
+        nonlocal s_val, prev, secant, stop_reason, note
         p = sol.params
         m1, m2, m3 = surface_gradient_bounds(sol.t1, p, sol.grid)
         lam = lambda_min(sol.t1, p, sol.grid)
@@ -306,15 +312,14 @@ def continue_branch(p0: BaseParams, g: Grid,
             note = (f"defect: nodal monotonicity failed at "
                     f"{len(nod.violations)} sample(s)")
             return False
-        s_new = s_val + _distance(sol.t1, p.alpha, prev[0], prev[1]) \
-            if prev is not None else 0.0
+        if prev is not None:
+            secant = (sol.t1 - prev[0], p.alpha - prev[1])
+            s_val += _step_length(*secant)
         points.append(BranchPoint(
-            s=s_new, alpha=p.alpha, amplitude=sol.amplitude,
+            s=s_val, alpha=p.alpha, amplitude=sol.amplitude,
             monitor_m1=m1, monitor_m2=m2, monitor_m3=m3,
             froude=p.froude, lambda_min=lam, residual_norm=sol.residual_norm))
         sols.append(sol)
-        s_val = s_new
-        prev2 = prev
         prev = (sol.t1.copy(), p.alpha)
         if m1 < m1_tol:
             stop_reason = "M1_VANISHING"
@@ -344,7 +349,7 @@ def continue_branch(p0: BaseParams, g: Grid,
             break
 
         if stage == "eps":
-            eps_new = eps * cfg.eps_growth
+            eps_new = eps * EPS_GROWTH
             if p0.alpha_cr - eps_new <= 1e-4 * p0.alpha_cr or eps_new > 0.1:
                 stage = "arc"
                 continue
@@ -357,12 +362,12 @@ def continue_branch(p0: BaseParams, g: Grid,
             if not accept(sol):
                 break
             eps = eps_new
-            if iters > cfg.eps_switch_iters:
+            if iters > EPS_SWITCH_ITERS:
                 stage = "arc"
             continue
 
         # pseudo-arclength stage
-        if prev2 is None:
+        if secant is None:
             # tangent from the eps-derivative of the asymptotic family
             d_eps = 1e-3 * eps if eps * (1 + 1e-3) <= 0.1 else -1e-3 * eps
             t_hi, _ = init_small(eps + d_eps, p0, g_cur)
@@ -370,25 +375,23 @@ def continue_branch(p0: BaseParams, g: Grid,
             tan_t = (t_hi - t_lo) / d_eps
             tan_a = -1.0
         else:
-            tan_t = prev[0] - prev2[0]
-            tan_a = prev[1] - prev2[1]
-        scale = float(np.max(np.abs(tan_t))) + abs(tan_a)
+            tan_t, tan_a = secant
+        scale = _step_length(tan_t, tan_a)
         if scale == 0.0:
             stop_reason = "STEP_FAILURE"
             note = "degenerate tangent"
             break
         tan_t, tan_a = tan_t / scale, tan_a / scale
         if ds is None:
-            ds = _distance(prev[0], prev[1], prev2[0], prev2[1]) \
-                if prev2 is not None else cfg.ds_max / 5.0
-            ds = min(ds, cfg.ds_max)
+            # the first arclength step repeats the last secant step
+            ds = min(scale if secant is not None else DS_MAX / 5.0, DS_MAX)
 
         c = cosine_coefficients(tan_t, g_cur)
         c_norm = float(np.sqrt(c @ c + tan_a * tan_a))
         c_coeff, c_alpha = c / c_norm, tan_a / c_norm
 
         stepped = False
-        while ds >= cfg.ds_min:
+        while ds >= DS_MIN:
             t_pred = prev[0] + ds * tan_t
             a_pred = prev[1] + ds * tan_a
             try:
@@ -396,7 +399,7 @@ def continue_branch(p0: BaseParams, g: Grid,
                 sol = newton_solve(t_pred, p0.with_alpha(a_pred), g_cur,
                                    cfg.newton, tangent=(c_coeff, c_alpha))
             except (NewtonError, ValidationError):
-                ds *= cfg.ds_shrink
+                ds *= DS_SHRINK
                 continue
             iters = len(sol.norm_history) - 1
             try:
@@ -409,13 +412,13 @@ def continue_branch(p0: BaseParams, g: Grid,
             if not accept(sol):
                 stepped = True
                 break
-            if max(iters, iters2) <= cfg.fast_iters:
-                ds = min(ds * cfg.ds_grow, cfg.ds_max)
+            if max(iters, iters2) <= FAST_ITERS:
+                ds = min(ds * DS_GROW, DS_MAX)
             stepped = True
             break
         if not stepped:
             stop_reason = "STEP_FAILURE"
-            note = f"step size underflowed below {cfg.ds_min:.1e}"
+            note = f"step size underflowed below {DS_MIN:.1e}"
 
     return Branch(points=points, solutions=sols, stop_reason=stop_reason,
                   note=note, thresholds=thresholds)

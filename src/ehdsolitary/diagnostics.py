@@ -15,35 +15,27 @@ import numpy as np
 from .model import WaveSolution, symmetry_error
 from .spectral import conjugate_primitive, ddx, dtn, harmonic_fields, harmonic_rows
 from .system import (INTERIOR_LEVELS, SurfaceState, eliminated_t2, lambda_min,
-                     residual, surface_gradient_bounds)
+                     surface_gradient_bounds)
 
 
 class DegenerateJacobian(ArithmeticError):
     """|grad eta|^2 fell below 1e-14 somewhere; field formulas are unusable."""
 
 
-def _surface_arrays(sol: WaveSolution):
-    """(eta, eta_x, eta_y, zeta_x, zeta_y) on the surface."""
-    p, g, t1 = sol.params, sol.grid, sol.t1
-    t2 = eliminated_t2(t1, p)
-    eta = 1.0 + t1
-    eta_x = ddx(t1, g)
-    eta_y = 1.0 + dtn(t1, g)
-    zeta_x = ddx(t2, g)
-    zeta_y = (1.0 - p.gamma) + dtn(t2, g)
-    return eta, eta_x, eta_y, zeta_x, zeta_y
-
-
 def _surface_fields(sol: WaveSolution):
-    """((eta_x, eta_y), (u, v, e1, e2)) on the surface, from one evaluation
-    of the surface arrays."""
-    p = sol.params
-    eta, eta_x, eta_y, zeta_x, zeta_y = _surface_arrays(sol)
-    gradsq = eta_x ** 2 + eta_y ** 2
+    """((eta_x, eta_y), (u, v, e1, e2)) on the surface.  eta_x, eta_y, zeta_y
+    and |grad eta|^2 come from the solution's SurfaceState; only
+    zeta_x = ddx(t2) is transformed here."""
+    p, g, t1 = sol.params, sol.grid, sol.t1
+    state = SurfaceState(t1, p, g)
+    gradsq = state.gradsq
     if np.min(gradsq) < 1e-14:
         raise DegenerateJacobian(
             f"|grad eta|^2 reaches {np.min(gradsq):.3e} on the surface")
-    u = (eta_x * zeta_x + eta_y * zeta_y) / gradsq + p.gamma * eta
+    eta_x, eta_y = state.w1x, 1.0 + state.w1y
+    zeta_x = ddx(eliminated_t2(t1, p), g)
+    zeta_y = (1.0 - p.gamma) + state.w2y
+    u = (eta_x * zeta_x + eta_y * zeta_y) / gradsq + p.gamma * (1.0 + t1)
     v = (eta_x * zeta_y - eta_y * zeta_x) / gradsq
     e1 = -eta_x / gradsq
     e2 = eta_y / gradsq
@@ -364,11 +356,11 @@ def full_report(sol: WaveSolution, n_stations: int = 9,
     """Every check on one solution, as a JSON-friendly nested dict.  Used by
     the diagnose command; hard invariants carry an 'ok' flag."""
     p, g = sol.params, sol.grid
-    r = residual(sol.t1, p, g)
-    rnorm = float(np.max(np.abs(r)))
+    state = SurfaceState(sol.t1, p, g)
+    rnorm = float(np.max(np.abs(state.residual)))
     sym = symmetry_error(sol.t1)
     lam = lambda_min(sol.t1, p, g)
-    m1, m2, m3 = surface_gradient_bounds(sol.t1, p, g)
+    m1, m2, m3 = surface_gradient_bounds(state, p, g)
     nontrivial = float(np.max(np.abs(sol.t1))) > 1e-12
 
     idx = np.linspace(0, g.n_points - 1, n_stations).astype(int)

@@ -148,11 +148,10 @@ def lambda_min(t1: np.ndarray, p: Params, g: Grid) -> float:
     return float(np.min(val))
 
 
-def surface_gradient_bounds(t1: np.ndarray, p: Params, g: Grid):
+def surface_gradient_bounds(base, p: Params, g: Grid):
     """(inf, sup) of |grad eta| on the surface, plus the stagnation monitor
-    inf (1 + eps1 - 2 alpha t1).  Returns (m1, m2, m3)."""
-    t1 = np.asarray(t1, dtype=float)
-    w1x, w1y = surface_gradient(t1, g)
-    grad = np.sqrt(w1x ** 2 + (1.0 + w1y) ** 2)
-    m1 = float(np.min(1.0 + p.eps1 - 2.0 * p.alpha * t1))
-    return m1, float(np.min(grad)), float(np.max(grad))
+    inf (1 + eps1 - 2 alpha t1), at a trace or its SurfaceState (see
+    jacobian_apply).  Returns (m1, m2, m3)."""
+    state = SurfaceState.of(base, p, g)
+    grad = np.sqrt(state.gradsq)
+    return float(np.min(state.stag)), float(np.min(grad)), float(np.max(grad))

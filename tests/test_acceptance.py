@@ -34,6 +34,7 @@ from ehdsolitary import (
     residual,
     shat,
 )
+from ehdsolitary import continuation
 from ehdsolitary.cli import _auto_half_length
 from ehdsolitary.continuation import (
     _mode_tail_fraction,
@@ -326,7 +327,7 @@ def test_accepted_points_meet_mode_tail(default_branch):
     """Every accepted point of the default branch meets the spectral-tail
     part of the adequacy contract."""
     branch, _ = default_branch
-    tol = ContinuationConfig().mode_tail_tol
+    tol = continuation.MODE_TAIL_TOL
     bad = {i: _mode_tail_fraction(sol.t1, sol.grid)
            for i, sol in enumerate(branch.solutions)
            if _mode_tail_fraction(sol.t1, sol.grid) > tol}

@@ -6,12 +6,15 @@ through its module global; these tests fail when a call bypasses the global
 or a name the bench imports goes away.  The tier-1 suite never runs the
 bench itself.
 """
+import json
+
 import numpy as np
 import pytest
 
 from ehdsolitary import BaseParams, NewtonConfig, continuation, init_small, make_grid, newton
 from ehdsolitary.cli import _auto_half_length
 from ehdsolitary.continuation import ContinuationConfig
+from ehdsolitary.io import save_branch
 from ehdsolitary.system import residual
 
 
@@ -70,3 +73,25 @@ def test_nodal_check_once_per_accepted_point(monkeypatch):
                                           ContinuationConfig(max_points=4))
     assert branch.stop_reason == "BUDGET"
     assert len(calls) == len(branch.points) == 4
+
+
+@pytest.mark.parametrize("kwargs", [{"max_points": 45}, {}],
+                         ids=["workloads", "make_fixtures"])
+def test_continuation_config_the_bench_builds(kwargs):
+    # bench/workloads.py cuts the default branch at 45 points;
+    # bench/make_fixtures.py runs it with the defaults
+    assert ContinuationConfig(**kwargs).max_points == kwargs.get("max_points", 500)
+
+
+def test_branch_header_threshold_keys(tmp_path):
+    # the saved header, and with it io.save_branch.bytes, keeps these keys
+    # in this order
+    g = make_grid(_auto_half_length(1e-3, 0.5), 512)
+    branch = continuation.continue_branch(BaseParams(0.0, 0.5), g,
+                                          ContinuationConfig(max_points=1))
+    save_branch(tmp_path / "branch.jsonl", branch, {})
+    with open(tmp_path / "branch.jsonl") as fh:
+        header = json.loads(fh.readline())
+    assert list(header["thresholds"]) == [
+        "m1_tol", "m2_tol", "m3_cap", "f_cap", "tail_tol", "eps_start",
+        "max_points"]

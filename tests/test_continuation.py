@@ -243,12 +243,13 @@ def test_corrector_rejects_supercritical_predictor():
 
 
 def test_nonpositive_alpha_predictor_shrinks_step(monkeypatch):
-    # at alpha_cr = 0.1 the first arclength predictor (ds = ds_max / 5 = 0.2)
+    # at alpha_cr = 0.1 the first arclength predictor (ds = DS_MAX / 5 = 0.2)
     # lands at alpha <= 0; continue_branch must count it as a failed step and
-    # retry at ds_shrink * ds rather than let the ValidationError escape
+    # retry at DS_SHRINK * ds rather than let the ValidationError escape
+    monkeypatch.setattr(continuation, "EPS_GROWTH", 3.0)
+    monkeypatch.setattr(continuation, "DS_MAX", 1.0)
     base = BaseParams(0.9, 0.0)
-    cfg = ContinuationConfig(eps_start=0.05, eps_growth=3.0, ds_max=1.0,
-                             max_points=2)
+    cfg = ContinuationConfig(eps_start=0.05, max_points=2)
     g = make_grid(_auto_half_length(cfg.eps_start, base.eps1), 256)
     predictors = []
     solve = continuation.newton_solve
@@ -263,10 +264,73 @@ def test_nonpositive_alpha_predictor_shrinks_step(monkeypatch):
     first = br.solutions[0]
     t_pred, alpha_pred = predictors[0]
     ds = float(np.max(np.abs(t_pred - first.t1))) + abs(alpha_pred - first.params.alpha)
-    assert ds == pytest.approx(cfg.ds_max / 5.0 * cfg.ds_shrink, rel=1e-12)
+    assert ds == pytest.approx(continuation.DS_MAX / 5.0 * continuation.DS_SHRINK, rel=1e-12)
     # the skipped predictor at twice this step had alpha <= 0
     assert first.params.alpha + 2.0 * (alpha_pred - first.params.alpha) <= 0.0
     assert alpha_pred > 0.0
+
+
+def test_step_underflow_stops_on_step_failure(monkeypatch):
+    # every corrector solve fails: ds halves on each attempt from the first
+    # arclength step down to DS_MIN, and the branch stops on STEP_FAILURE
+    base = BaseParams(0.0, 0.5)
+    cfg = ContinuationConfig(eps_start=0.05, max_points=20)
+    g = make_grid(_auto_half_length(cfg.eps_start, base.eps1), 256)
+    attempts = []
+    solve = continuation.newton_solve
+
+    def failing(t1, p, grid, ncfg, tangent=None):
+        if tangent is None:
+            return solve(t1, p, grid, ncfg)
+        attempts.append((np.array(t1), p.alpha))
+        if len(attempts) > 100:      # ds is not shrinking: fail, do not hang
+            raise RuntimeError("step size does not shrink")
+        raise NewtonError("corrector failed")
+
+    monkeypatch.setattr(continuation, "newton_solve", failing)
+    br = continue_branch(base, g, cfg)
+    assert br.stop_reason == "STEP_FAILURE"
+    assert br.note == "step size underflowed below 1.0e-08"
+    last = br.solutions[-1]
+    ds = [float(np.max(np.abs(t - last.t1))) + abs(a - last.params.alpha)
+          for t, a in attempts]
+    assert ds[0] <= continuation.DS_MAX * (1.0 + 1e-12)
+    for a, b in zip(ds, ds[1:]):
+        assert b == pytest.approx(continuation.DS_SHRINK * a, rel=1e-6)
+    assert ds[-1] >= continuation.DS_MIN > continuation.DS_SHRINK * ds[-1]
+
+
+def test_eps_stage_failure_after_regrid_moves_secant(monkeypatch):
+    # the third eps-stage point refines the grid and its re-solve fails; the
+    # arclength stage then starts from the secant moved onto the new grid
+    base = BaseParams(0.0, 0.5)
+    cfg = ContinuationConfig(eps_start=0.05, max_points=4)
+    g = make_grid(_auto_half_length(cfg.eps_start, base.eps1), 256)
+    third = base.alpha_cr - cfg.eps_start * continuation.EPS_GROWTH ** 2
+    events = []
+    solve, tail = continuation.newton_solve, continuation._mode_tail_fraction
+
+    def failing_after_refine(t1, p, grid, ncfg, tangent=None):
+        if tangent is None and abs(p.alpha - third) < 1e-12:
+            if "refined" in events:
+                events.append("failed")
+                raise NewtonError("re-solve on the refined grid failed")
+            events.append("third")
+        return solve(t1, p, grid, ncfg, tangent=tangent)
+
+    def refining_once(t1, grid):
+        if events == ["third"]:
+            events.append("refined")
+            return 1.0
+        return tail(t1, grid)
+
+    monkeypatch.setattr(continuation, "newton_solve", failing_after_refine)
+    monkeypatch.setattr(continuation, "_mode_tail_fraction", refining_once)
+    br = continue_branch(base, g, cfg)
+    assert events == ["third", "refined", "failed"]
+    assert br.stop_reason == "BUDGET" and len(br.points) == 4
+    amps = [p.amplitude for p in br.points]
+    assert all(b > a for a, b in zip(amps, amps[1:]))
 
 
 @pytest.fixture(scope="module")

@@ -319,6 +319,42 @@ def test_continue_config_tunes_thresholds(tmp_path):
     assert header["thresholds"]["tail_tol"] == 1e-8
 
 
+def test_continue_config_rejects_unknown_keys(tmp_path, capsys):
+    # step control is not configuration; a config that still sets it fails
+    # instead of silently losing its effect
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gamma": 0.0, "eps1": 0.5, "eps_start": 0.01,
+                               "max_points": 3, "n_points": 512,
+                               "ds_shrink": 0.5}))
+    assert main(["continue", "--config", str(cfg)]) == 1
+    assert "ds_shrink" in capsys.readouterr().err
+
+
+def test_config_with_retired_step_control_exits_at_once(tmp_path, capsys):
+    # with ds_shrink = 1 a failed corrector step would be retried forever
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gamma": 0.9, "eps1": 0, "eps_start": 0.05,
+                               "eps_growth": 3, "ds_max": 1, "ds_shrink": 1.0,
+                               "max_points": 2, "n_points": 256}))
+    out = tmp_path / "out"
+    assert main(["continue", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert all(k in err for k in ("ds_max", "ds_shrink", "eps_growth"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["dispersion", "--alpha", "1.0"], "alpah"),
+    (["ode", "--q0-list", "1.0"], "q0_list"),
+    (["conjugate", "--alpha", "1.0"], "max_points"),
+], ids=["dispersion-typo", "ode-q0-list", "conjugate-continue-key"])
+def test_config_keys_are_the_subcommand_flags(tmp_path, capsys, argv, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gamma": 0.0, key: 1.0}))
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["continue", "--eps", "0.01"],
     ["diagnose", "--input", "solution.json", "--gamma", "0"],
