@@ -2,12 +2,18 @@
 stepping in the distance to the critical speed, pseudo-arclength stepping at
 larger amplitude, and the limit monitors as stop conditions.
 
+Every point, the first included, is one step: predict, correct with
+newton_solve, adapt the box, accept, control the step.  The stages differ in
+their predictor and in what a failure does, nothing else.
+
 The periodic box is adapted on the fly: it is widened (L and N grown by
 WIDEN_FACTOR, spacing kept) whenever the measured tail exceeds tolerance,
 refined (N doubled at fixed L) when the cosine spectrum carries energy near
 the Nyquist band, and conservatively halved when the profile has become much
 narrower than the box.  All three regrid operations are exact on the
-trigonometric interpolant of an even trace.
+trigonometric interpolant of an even trace.  A regrid commits, moving the
+current grid and the stored last point and secant, only when its fixed-alpha
+re-solve on the new grid succeeds.
 
 Step control and grid adaptation are module constants; ContinuationConfig
 holds only what a branch header records, plus the Newton configuration.
@@ -26,7 +32,6 @@ from .model import (
     BaseParams,
     BranchPoint,
     Grid,
-    Params,
     ValidationError,
     WaveSolution,
     make_grid,
@@ -160,41 +165,33 @@ class StopReport:
 
 # --- exact regridding of even traces ----------------------------------------
 
-def widen_grid(traces, g: Grid, factor: float = 2.0):
-    """Grow the box by ~factor at fixed spacing; old samples embed exactly,
-    the new outer region is filled with zeros.  The per-side pad is a
-    multiple of 32 samples so N stays FFT-friendly."""
-    pad = int(np.ceil(max(factor - 1.0, 0.0) * g.n_points / 2.0 / 32.0) * 32)
-    pad = max(pad, 32)
+def widen_grid(t: np.ndarray, g: Grid):
+    """Grow the box by ~WIDEN_FACTOR at fixed spacing; the old samples embed
+    exactly and the new outer region is filled with zeros.  The per-side pad
+    is a positive multiple of 32 samples so N stays FFT-friendly."""
+    pad = 32 * int(np.ceil((WIDEN_FACTOR - 1.0) * g.n_points / 64.0))
     g2 = make_grid(g.half_length * (1.0 + 2.0 * pad / g.n_points),
                    g.n_points + 2 * pad)
-    out = []
-    for t in traces:
-        t2 = np.zeros(g2.n_points)
-        t2[pad:pad + g.n_points] = t
-        out.append(t2)
-    return out, g2
+    t2 = np.zeros(g2.n_points)
+    t2[pad:pad + g.n_points] = t
+    return t2, g2
 
 
-def shrink_grid(traces, g: Grid):
+def shrink_grid(t: np.ndarray, g: Grid):
     """Halve L and N at fixed spacing by taking the inner samples, or None
     when the grid cannot be halved."""
     if g.n_points % 4 != 0 or g.n_points // 2 < 16:
         return None
-    g2 = make_grid(0.5 * g.half_length, g.n_points // 2)
     lo = g.n_points // 4
-    return [t[lo:lo + g.n_points // 2].copy() for t in traces], g2
+    return (t[lo:lo + g.n_points // 2].copy(),
+            make_grid(0.5 * g.half_length, g.n_points // 2))
 
 
-def refine_grid(traces, g: Grid):
-    """Double N at fixed L (exact spectral refinement of even traces)."""
+def refine_grid(t: np.ndarray, g: Grid):
+    """Double N at fixed L (exact spectral refinement of an even trace)."""
     g2 = make_grid(g.half_length, 2 * g.n_points)
-    out = []
-    for t in traces:
-        a = cosine_coefficients(t, g)
-        out.append(values_from_cosine(
-            np.concatenate([a, np.zeros(g.n_points // 2)]), g2))
-    return out, g2
+    a = np.concatenate([cosine_coefficients(t, g), np.zeros(g.n_points // 2)])
+    return values_from_cosine(a, g2), g2
 
 
 def _mode_tail_fraction(t1: np.ndarray, g: Grid) -> float:
@@ -217,16 +214,29 @@ def _step_length(dt1, dalpha) -> float:
     return float(np.max(np.abs(dt1))) + abs(dalpha)
 
 
+def _family_tangent(eps: float, p0: BaseParams, g: Grid):
+    """(dt1/deps, dalpha/deps) of the small-amplitude family at eps, in
+    closed form and on any box: t1 = A eps sech^2(u) with u = rate x and
+    rate ~ sqrt(eps), so dt1/deps = A sech^2(u) (1 - u tanh u), and
+    alpha = alpha_cr - eps."""
+    u = initializer_decay(eps, p0)[0] * g.x
+    prefactor = small_amplitude_coefficients(p0)[0]
+    return prefactor / np.cosh(u) ** 2 * (1.0 - u * np.tanh(u)), -1.0
+
+
 def continue_branch(p0: BaseParams, g: Grid,
                     cfg: ContinuationConfig = ContinuationConfig()) -> Branch:
     """Follow the solitary branch from the small-amplitude end.
 
-    Starts at eps = eps_start with the asymptotic initializer, steps eps
-    geometrically while the Newton corrector converges fast, then switches to
-    pseudo-arclength with a secant predictor.  After each accepted point the
-    limit monitors, the admissibility quantity, the decay tail, and the nodal
-    property are recorded and checked.  Stops on a monitor threshold, a
-    step-size underflow, a detected defect, or the point budget.
+    Every point, the first included, is one step: predict, correct with
+    newton_solve, adapt the box, accept, then control the step.  The first
+    point and the eps stage predict the asymptotic initializer at eps, which
+    grows geometrically while the corrector converges fast; the arclength
+    stage predicts along the secant into the last point and corrects on the
+    arclength hyperplane.  After each accepted point the limit monitors, the
+    admissibility quantity, the decay tail, and the nodal property are
+    recorded and checked.  Stops on a monitor threshold, a step-size
+    underflow, a detected defect, or the point budget.
     """
     m1_tol = cfg.resolved_m1_tol(p0.eps1)
     thresholds = {
@@ -244,56 +254,53 @@ def continue_branch(p0: BaseParams, g: Grid,
     secant: Optional[tuple] = None   # (dt1, dalpha) into prev, on g_cur
     s_val = 0.0
 
-    def move_stored(mover):
-        """Apply a regrid operation to the remembered branch traces.  The
-        secant moves too: an eps-stage solve may regrid and then fail, and
-        the arclength stage starts from the secant on the new grid."""
-        nonlocal prev, secant
-        if prev is not None:
-            prev = (mover([prev[0]])[0], prev[1])
-        if secant is not None:
-            secant = (mover([secant[0]])[0], secant[1])
-
-    def converge_adequate(t0, p: Params, sol=None):
-        """Newton solve plus box adequacy: refine/widen until the spectral
-        band and the tail pass, then optionally shrink an oversized box.
-        A solution sol already converged at p on g_cur stands in for the
-        first solve, which then counts zero iterations."""
-        nonlocal g_cur
-        iters = 0
+    def adapt(sol: WaveSolution, iters: int):
+        """Box adequacy of a converged solution: refine while the cosine
+        spectrum carries energy near Nyquist, widen while the tail exceeds
+        tail_tol, then halve an oversized box.  Each regrid re-solves at
+        fixed alpha on the new grid, and only a successful re-solve moves
+        g_cur and the stored traces; a halving is kept only when its tail
+        passes, else the point stays on its box.  Returns the adequate
+        solution and the iteration count of the solve that produced it (a
+        halving does not count)."""
+        nonlocal g_cur, prev, secant
         for _ in range(8):
-            if sol is None:
-                sol = newton_solve(t0, p, g_cur, cfg.newton)
-                iters = len(sol.norm_history) - 1
-            if (_mode_tail_fraction(sol.t1, g_cur) > MODE_TAIL_TOL
-                    and 2 * g_cur.n_points <= N_MAX):
-                (t0,), g_new = refine_grid([sol.t1], g_cur)
-                move_stored(lambda ts: refine_grid(ts, g_cur)[0])
-                g_cur, sol = g_new, None
-                continue
-            if sol.tail > cfg.tail_tol:
-                (probe,), g_probe = widen_grid([sol.t1], g_cur, WIDEN_FACTOR)
-                if g_probe.n_points > N_MAX:
-                    raise NewtonError(
-                        f"tail {sol.tail:.2e} above tolerance but the mode "
-                        f"budget n_max={N_MAX} is exhausted")
-                move_stored(lambda ts: widen_grid(ts, g_cur, WIDEN_FACTOR)[0])
-                t0, g_cur, sol = probe, g_probe, None
-                continue
-            if (_inner_tail(sol.t1, g_cur) < SHRINK_SAFETY * cfg.tail_tol
-                    and 0.5 * g_cur.half_length >= MIN_HALF_LENGTH):
-                shrunk = shrink_grid([sol.t1], g_cur)
-                if shrunk is not None:
-                    (t_try,), g_try = shrunk
-                    try:
-                        sol_try = newton_solve(t_try, p, g_try, cfg.newton)
-                    except NewtonError:
-                        return sol, iters
-                    if sol_try.tail <= cfg.tail_tol:
-                        move_stored(lambda ts: shrink_grid(ts, g_cur)[0])
-                        g_cur = g_try
-                        return sol_try, iters
-            return sol, iters
+            g_sol = sol.grid
+            if (_mode_tail_fraction(sol.t1, g_sol) > MODE_TAIL_TOL
+                    and 2 * g_sol.n_points <= N_MAX):
+                regrid = refine_grid
+            elif sol.tail > cfg.tail_tol:
+                regrid = widen_grid
+            elif (_inner_tail(sol.t1, g_sol) < SHRINK_SAFETY * cfg.tail_tol
+                    and 0.5 * g_sol.half_length >= MIN_HALF_LENGTH):
+                regrid = shrink_grid
+            else:
+                return sol, iters
+            halving = regrid is shrink_grid
+            moved = regrid(sol.t1, g_sol)
+            if moved is None:
+                return sol, iters
+            t_new, g_new = moved
+            if g_new.n_points > N_MAX:
+                raise NewtonError(
+                    f"tail {sol.tail:.2e} above tolerance but the mode "
+                    f"budget n_max={N_MAX} is exhausted")
+            try:
+                new = newton_solve(t_new, sol.params, g_new, cfg.newton)
+            except NewtonError:
+                if halving:
+                    return sol, iters
+                raise
+            if halving and new.tail > cfg.tail_tol:
+                return sol, iters
+            if prev is not None:
+                prev = (regrid(prev[0], g_sol)[0], prev[1])
+            if secant is not None:
+                secant = (regrid(secant[0], g_sol)[0], secant[1])
+            g_cur = g_new
+            if halving:
+                return new, iters
+            sol, iters = new, len(new.norm_history) - 1
         raise NewtonError("box adaptation did not settle within 8 rounds")
 
     def accept(sol: WaveSolution) -> bool:
@@ -331,94 +338,80 @@ def continue_branch(p0: BaseParams, g: Grid,
             stop_reason = "FROUDE_BLOWUP"
         return stop_reason is None
 
-    # first point
     eps = cfg.eps_start
-    t_init, p = init_small(eps, p0, g_cur)
-    try:
-        sol, _ = converge_adequate(t_init, p)
-    except NewtonError as exc:
-        raise NewtonError(f"branch start failed at eps={eps}: {exc}") from exc
-    accept(sol)
-
     stage = "eps"
     ds = None
     while stop_reason is None:
-        if len(points) >= cfg.max_points:
+        # the first point is always taken
+        if points and len(points) >= cfg.max_points:
             stop_reason = "BUDGET"
             note = "point budget exhausted"
             break
 
+        # predict
         if stage == "eps":
-            eps_new = eps * EPS_GROWTH
-            if p0.alpha_cr - eps_new <= 1e-4 * p0.alpha_cr or eps_new > 0.1:
+            eps_new = eps * EPS_GROWTH if points else eps
+            if points and (p0.alpha_cr - eps_new <= 1e-4 * p0.alpha_cr
+                           or eps_new > 0.1):
                 stage = "arc"
                 continue
-            try:
-                t_pred, p_new = init_small(eps_new, p0, g_cur)
-                sol, iters = converge_adequate(t_pred, p_new)
-            except (NewtonError, ValidationError):
-                stage = "arc"
-                continue
-            if not accept(sol):
-                break
-            eps = eps_new
-            if iters > EPS_SWITCH_ITERS:
-                stage = "arc"
-            continue
-
-        # pseudo-arclength stage
-        if secant is None:
-            # tangent from the eps-derivative of the asymptotic family
-            d_eps = 1e-3 * eps if eps * (1 + 1e-3) <= 0.1 else -1e-3 * eps
-            t_hi, _ = init_small(eps + d_eps, p0, g_cur)
-            t_lo, _ = init_small(eps, p0, g_cur)
-            tan_t = (t_hi - t_lo) / d_eps
-            tan_a = -1.0
+            tangent = None
         else:
-            tan_t, tan_a = secant
-        scale = _step_length(tan_t, tan_a)
-        if scale == 0.0:
-            stop_reason = "STEP_FAILURE"
-            note = "degenerate tangent"
-            break
-        tan_t, tan_a = tan_t / scale, tan_a / scale
-        if ds is None:
-            # the first arclength step repeats the last secant step
-            ds = min(scale if secant is not None else DS_MAX / 5.0, DS_MAX)
+            # with one eps-stage point there is no secant: take the family's
+            tan_t, tan_a = (secant if secant is not None
+                            else _family_tangent(eps, p0, g_cur))
+            scale = _step_length(tan_t, tan_a)
+            if scale == 0.0:
+                stop_reason = "STEP_FAILURE"
+                note = "degenerate tangent"
+                break
+            if ds is None:
+                # the first arclength step repeats the last secant step
+                ds = min(scale if secant is not None else DS_MAX / 5.0, DS_MAX)
+            if ds < DS_MIN:
+                stop_reason = "STEP_FAILURE"
+                note = f"step size underflowed below {DS_MIN:.1e}"
+                break
+            tan_t, tan_a = tan_t / scale, tan_a / scale
+            c = cosine_coefficients(tan_t, g_cur)
+            c_norm = float(np.sqrt(c @ c + tan_a * tan_a))
+            tangent = (c / c_norm, tan_a / c_norm)
 
-        c = cosine_coefficients(tan_t, g_cur)
-        c_norm = float(np.sqrt(c @ c + tan_a * tan_a))
-        c_coeff, c_alpha = c / c_norm, tan_a / c_norm
-
-        stepped = False
-        while ds >= DS_MIN:
-            t_pred = prev[0] + ds * tan_t
-            a_pred = prev[1] + ds * tan_a
-            try:
-                # with_alpha raises ValidationError for a_pred <= 0
-                sol = newton_solve(t_pred, p0.with_alpha(a_pred), g_cur,
-                                   cfg.newton, tangent=(c_coeff, c_alpha))
-            except (NewtonError, ValidationError):
-                ds *= DS_SHRINK
-                continue
+        # correct and adapt
+        sol = None
+        try:
+            if stage == "eps":
+                t_pred, p_pred = init_small(eps_new, p0, g_cur)
+            else:
+                t_pred = prev[0] + ds * tan_t
+                # with_alpha raises ValidationError for alpha <= 0
+                p_pred = p0.with_alpha(prev[1] + ds * tan_a)
+            sol = newton_solve(t_pred, p_pred, g_cur, cfg.newton, tangent=tangent)
             iters = len(sol.norm_history) - 1
-            try:
-                sol, iters2 = converge_adequate(sol.t1, sol.params, sol)
-            except NewtonError as exc:
+            sol, adequate_iters = adapt(sol, iters)
+        except (NewtonError, ValidationError) as exc:
+            if not points:
+                if isinstance(exc, ValidationError):
+                    raise
+                raise NewtonError(f"branch start failed at eps={eps}: {exc}") from exc
+            if stage == "eps":
+                stage = "arc"
+            elif sol is None:
+                ds *= DS_SHRINK
+            else:
                 stop_reason = "STEP_FAILURE"
                 note = f"box adaptation failed: {exc}"
-                stepped = True
-                break
-            if not accept(sol):
-                stepped = True
-                break
-            if max(iters, iters2) <= FAST_ITERS:
-                ds = min(ds * DS_GROW, DS_MAX)
-            stepped = True
+            continue
+
+        if not accept(sol):
             break
-        if not stepped:
-            stop_reason = "STEP_FAILURE"
-            note = f"step size underflowed below {DS_MIN:.1e}"
+        if stage == "arc":
+            if max(iters, adequate_iters) <= FAST_ITERS:
+                ds = min(ds * DS_GROW, DS_MAX)
+        else:
+            if len(points) > 1 and adequate_iters > EPS_SWITCH_ITERS:
+                stage = "arc"
+            eps = eps_new
 
     return Branch(points=points, solutions=sols, stop_reason=stop_reason,
                   note=note, thresholds=thresholds)

@@ -17,6 +17,11 @@ from .spectral import conjugate_primitive, ddx, dtn, harmonic_fields, harmonic_r
 from .system import (INTERIOR_LEVELS, SurfaceState, eliminated_t2, lambda_min,
                      surface_gradient_bounds)
 
+FLOW_FORCE_NODES = 32       # Gauss-Legendre nodes over the strip height
+NODAL_NOISE_FACTOR = 10.0   # slope noise floor over the top-band ripple
+PROP65_TOL = 1e-9           # a bound margin within this is an equality
+REPORT_STATIONS = 9         # flow-force stations listed by full_report
+
 
 class DegenerateJacobian(ArithmeticError):
     """|grad eta|^2 fell below 1e-14 somewhere; field formulas are unusable."""
@@ -109,13 +114,13 @@ def _flow_force_all_stations(sol: WaveSolution, n_nodes: int) -> np.ndarray:
     return total - boundary
 
 
-def flow_force_profile(sol: WaveSolution, n_nodes: int = 32,
-                       check: bool = True) -> np.ndarray:
-    """Flow force at all stations; optionally verifies quadrature convergence
-    by node doubling and warns when the result moves by more than 1e-8."""
-    s = _flow_force_all_stations(sol, n_nodes)
+def flow_force_profile(sol: WaveSolution, check: bool = True) -> np.ndarray:
+    """Flow force at all stations from FLOW_FORCE_NODES quadrature nodes;
+    optionally verifies quadrature convergence by node doubling and warns
+    when the result moves by more than 1e-8."""
+    s = _flow_force_all_stations(sol, FLOW_FORCE_NODES)
     if check:
-        s2 = _flow_force_all_stations(sol, 2 * n_nodes)
+        s2 = _flow_force_all_stations(sol, 2 * FLOW_FORCE_NODES)
         gap = float(np.max(np.abs(s2 - s)))
         if gap > 1e-8:
             warnings.warn(
@@ -124,14 +129,13 @@ def flow_force_profile(sol: WaveSolution, n_nodes: int = 32,
     return s
 
 
-def flow_force(sol: WaveSolution, x: float, n_nodes: int = 32,
-               check: bool = True) -> float:
+def flow_force(sol: WaveSolution, x: float, check: bool = True) -> float:
     """Flow force at the station nearest to x (x must lie inside the box)."""
     g = sol.grid
     if not -g.half_length <= x <= g.half_length:
         raise ValueError(f"station x={x} outside the computational box")
     j = int(np.argmin(np.abs(g.x - x)))
-    return float(flow_force_profile(sol, n_nodes, check=check)[j])
+    return float(flow_force_profile(sol, check=check)[j])
 
 
 # --- integral flux identity ---------------------------------------------------
@@ -181,18 +185,17 @@ class NodalReport:
     noise_floor: float = 0.0
 
 
-def nodal_check(sol: WaveSolution, tail_floor: float = 1e-8,
-                noise_factor: float = 10.0) -> NodalReport:
+def nodal_check(sol: WaveSolution, tail_floor: float = 1e-8) -> NodalReport:
     """Strict decrease of the surface unknown on 0 < x < x_tail, on the
     surface and at the INTERIOR_LEVELS heights, where x_tail bounds the region
     with |t1| above tail_floor.  Report-only; violations are listed.
 
     Strictness is measured against the numerical noise in the slope: the top
     20% of the wavenumber band carries the spectral-truncation ripple, so
-    noise_factor times the amplitude of that band's contribution to the slope
-    separates genuine sign violations from discretization artifacts.  On
-    well-resolved waves that floor sits at rounding level, i.e. the check is
-    the strict sign test.
+    NODAL_NOISE_FACTOR times the amplitude of that band's contribution to the
+    slope separates genuine sign violations from discretization artifacts.
+    On well-resolved waves that floor sits at rounding level, i.e. the check
+    is the strict sign test.
     """
     g, t1 = sol.grid, sol.t1
     x = g.x
@@ -208,8 +211,8 @@ def nodal_check(sol: WaveSolution, tail_floor: float = 1e-8,
     coeffs = np.fft.rfft(t1x)
     coeffs[: int(0.8 * len(coeffs))] = 0.0
     ripple = float(np.max(np.abs(np.fft.irfft(coeffs, g.n_points))))
-    noise = noise_factor * max(ripple,
-                               np.finfo(float).eps * float(np.max(np.abs(t1x))))
+    noise = NODAL_NOISE_FACTOR * max(
+        ripple, np.finfo(float).eps * float(np.max(np.abs(t1x))))
     violations = []
     for y, slope in zip(heights, slopes):
         bad = window & (slope >= noise)
@@ -312,7 +315,7 @@ def _bound_status(worst: float, tol: float) -> str:
     return "degenerate-equality" if worst >= -tol else "fail"
 
 
-def prop65_check(sol: WaveSolution, tol: float = 1e-9) -> BoundsReport:
+def prop65_check(sol: WaveSolution) -> BoundsReport:
     """Pointwise bounds on the vertical derivatives of the stream-like and
     potential-like harmonic quantities on the surface.
 
@@ -331,10 +334,10 @@ def prop65_check(sol: WaveSolution, tol: float = 1e-9) -> BoundsReport:
     if p.gamma <= 0:
         bound = 1.0 - 0.5 * p.gamma
         worst = float(np.min(bound - psi_y))
-        if p.gamma == 0 and np.max(np.abs(psi_y - 1.0)) <= max(tol, 1e-12):
+        if p.gamma == 0 and np.max(np.abs(psi_y - 1.0)) <= PROP65_TOL:
             status = "degenerate-equality"
         else:
-            status = _bound_status(worst, tol)
+            status = _bound_status(worst, PROP65_TOL)
         checks.append(BoundCheck(name="psi_y upper (gamma<=0)", status=status,
                                  worst_margin=worst))
 
@@ -344,15 +347,15 @@ def prop65_check(sol: WaveSolution, tol: float = 1e-9) -> BoundsReport:
         bound = min(2.0 - p.gamma + 2.0 * p.eps1, p.gamma * grad_inf)
         worst = float(np.min(psi_y - bound))
         checks.append(BoundCheck(name="psi_y lower (gamma>=0)",
-                                 status=_bound_status(worst, tol), worst_margin=worst))
+                                 status=_bound_status(worst, PROP65_TOL),
+                                 worst_margin=worst))
 
     return BoundsReport(checks=checks)
 
 
 # --- combined report --------------------------------------------------------------
 
-def full_report(sol: WaveSolution, n_stations: int = 9,
-                tail_tol: float = 1e-9) -> dict:
+def full_report(sol: WaveSolution) -> dict:
     """Every check on one solution, as a JSON-friendly nested dict.  Used by
     the diagnose command; hard invariants carry an 'ok' flag."""
     p, g = sol.params, sol.grid
@@ -363,7 +366,7 @@ def full_report(sol: WaveSolution, n_stations: int = 9,
     m1, m2, m3 = surface_gradient_bounds(state, p, g)
     nontrivial = float(np.max(np.abs(sol.t1))) > 1e-12
 
-    idx = np.linspace(0, g.n_points - 1, n_stations).astype(int)
+    idx = np.linspace(0, g.n_points - 1, REPORT_STATIONS).astype(int)
     stations = g.x[idx]
     s_vals = flow_force_profile(sol, check=True)
     s_at_stations = s_vals[idx]
@@ -372,7 +375,7 @@ def full_report(sol: WaveSolution, n_stations: int = 9,
 
     flux = flux_identity_check(sol)
     flux_budget = max(1e-4, 10.0 * sol.tail)
-    nodal = nodal_check(sol, tail_floor=10.0 * tail_tol)
+    nodal = nodal_check(sol)    # tail floor 10 x the branch's default tail_tol
     bounds = prop65_check(sol)
     profile = physical_profile(sol)
     bern = bernoulli_field_residual(sol)

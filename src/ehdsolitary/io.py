@@ -129,11 +129,11 @@ def branch_point_from_json(obj) -> BranchPoint:
                           for f in fields(BranchPoint)})
 
 
-def save_branch(path, branch, run_config: dict, sidecar_every: int = 10,
-                sidecar_dir=None) -> list:
+def save_branch(path, branch, run_config: dict, sidecar_every: int = 10) -> list:
     """JSON-lines branch file: a header record, one record per accepted point,
-    and a final stop record.  Every sidecar_every-th solution is written as a
-    full document next to the branch file; returns the sidecar paths."""
+    and a final stop record.  Every sidecar_every-th solution, and the last,
+    is written as a full document in <stem>_solutions/ next to the branch
+    file; returns the sidecar paths."""
     path = Path(path)
     header = {
         "kind": "branch_header",
@@ -153,8 +153,7 @@ def save_branch(path, branch, run_config: dict, sidecar_every: int = 10,
 
     written = []
     if sidecar_every and branch.solutions:
-        sidecar_dir = Path(sidecar_dir) if sidecar_dir is not None \
-            else path.parent / (path.stem + "_solutions")
+        sidecar_dir = path.parent / (path.stem + "_solutions")
         for i, sol in enumerate(branch.solutions):
             if i % sidecar_every == 0 or i == len(branch.solutions) - 1:
                 sp = sidecar_dir / f"point_{i:05d}.json"

@@ -25,6 +25,7 @@ from .continuation import small_amplitude_coefficients
 from .model import BaseParams, ValidationError
 
 TRUNCATION_ORDER = 2  # quadratic truncation of the reduced right-hand side
+ESCAPE_FACTOR = 10.0  # an orbit with |Q| above this times q0 has escaped
 
 
 @dataclass(frozen=True)
@@ -110,12 +111,11 @@ def _rk4_step(q, v, h, p: OdeParams):
 
 
 def integrate_orbit(q_init: float, p_init: float, p: OdeParams,
-                    dt: float, n_steps: int,
-                    escape_factor: float = 10.0) -> Orbit:
+                    dt: float, n_steps: int) -> Orbit:
     """Classical fixed-step RK4 on the scaled planar system.
 
     Terminates early with the escaped flag once |Q| exceeds
-    escape_factor * q0; flags the step size when the first-integral drift
+    ESCAPE_FACTOR * q0; flags the step size when the first-integral drift
     exceeds 1e-6.
     """
     if dt <= 0:
@@ -129,7 +129,7 @@ def integrate_orbit(q_init: float, p_init: float, p: OdeParams,
     for i in range(n_steps):
         q, v = _rk4_step(q, v, dt, p)
         qs[i + 1], ps[i + 1] = q, v
-        if abs(q) > escape_factor * p.q0:
+        if abs(q) > ESCAPE_FACTOR * p.q0:
             escaped = True
             count = i + 1
             break

@@ -14,6 +14,8 @@ import numpy as np
 
 from .model import Grid
 
+CONJUGATE_MEAN_TOL = 1e-3   # conjugate_primitive warns above this input mean
+
 
 def _check_trace(t: np.ndarray, g: Grid) -> np.ndarray:
     t = np.asarray(t, dtype=float)
@@ -143,21 +145,22 @@ def harmonic_fields(t: np.ndarray, g: Grid, ys):
     return w, w_x, w_y
 
 
-def conjugate_primitive(t: np.ndarray, g: Grid, mean_tol: float = 1e-3) -> np.ndarray:
+def conjugate_primitive(t: np.ndarray, g: Grid) -> np.ndarray:
     """Spectral antiderivative used to rebuild the horizontal surface
     coordinate from the vertical one (Cauchy-Riemann pairing).
 
     Per-mode action c_n -> c_n / (i k_n) for n >= 1; mode 0 is dropped, so
     the result has zero mean, and an even input yields an odd output.  A mean
-    above mean_tol is a truncation symptom of the periodic box and is
-    reported as a warning, not a failure.
+    above CONJUGATE_MEAN_TOL is a truncation symptom of the periodic box and
+    is reported as a warning, not a failure.
     """
     t = _check_trace(t, g)
     c = np.fft.rfft(t, axis=-1).astype(complex)
     mean = np.max(np.abs(c[..., 0])) / g.n_points
-    if mean > mean_tol:
+    if mean > CONJUGATE_MEAN_TOL:
         warnings.warn(
-            f"conjugate_primitive: input mean {mean:.3e} exceeds {mean_tol:.1e}; "
+            f"conjugate_primitive: input mean {mean:.3e} exceeds "
+            f"{CONJUGATE_MEAN_TOL:.1e}; "
             "the periodic box may be too narrow for the decaying profile",
             RuntimeWarning,
             stacklevel=2,

@@ -187,7 +187,7 @@ def test_a4_flow_force_invariance(gamma, eps1, eps):
     g = make_grid(_auto_half_length(eps, eps1), 1024)
     t0, p = init_small(eps, base, g)
     sol = newton_solve(t0, p, g, NewtonConfig(tol=1e-11))
-    s = flow_force_profile(sol, n_nodes=32, check=True)
+    s = flow_force_profile(sol, check=True)
     idx = np.linspace(0, g.n_points - 1, 9).astype(int)
     ref = s[g.n_points // 2]
     spread = float(np.max(np.abs(s[idx] - ref)) / abs(ref))

@@ -75,6 +75,23 @@ def test_nodal_check_once_per_accepted_point(monkeypatch):
     assert len(calls) == len(branch.points) == 4
 
 
+@pytest.mark.parametrize("grid, cfg, helpers", [
+    # the default start at N = 128: refines and halvings
+    (make_grid(_auto_half_length(1e-3, 0.5), 128), ContinuationConfig(max_points=6),
+     ("refine_grid", "shrink_grid")),
+    # a tail tolerance the initializer's box misses: a widening
+    (make_grid(80.0, 256), ContinuationConfig(eps_start=0.05, tail_tol=1e-12, max_points=2),
+     ("widen_grid",)),
+], ids=["refine-shrink", "widen"])
+def test_regrids_go_through_module_globals(monkeypatch, grid, cfg, helpers):
+    # the traced continuation.{refine,widen,shrink}.calls count these calls
+    calls = {name: counting(monkeypatch, continuation, name) for name in helpers}
+    branch = continuation.continue_branch(BaseParams(0.0, 0.5), grid, cfg)
+    assert branch.stop_reason == "BUDGET"
+    for name in helpers:
+        assert calls[name], name
+
+
 @pytest.mark.parametrize("kwargs", [{"max_points": 45}, {}],
                          ids=["workloads", "make_fixtures"])
 def test_continuation_config_the_bench_builds(kwargs):

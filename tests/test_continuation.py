@@ -90,7 +90,7 @@ class TestRegridding:
         g = make_grid(16.0, 64)
         rng = np.random.default_rng(0)
         t = random_even_trace(g, rng)
-        (t2,), g2 = widen_grid([t], g, factor=2.0)
+        t2, g2 = widen_grid(t, g)
         assert g2.spacing == pytest.approx(g.spacing, abs=0)
         pad = (g2.n_points - g.n_points) // 2
         assert np.array_equal(t2[pad:pad + g.n_points], t)
@@ -100,7 +100,7 @@ class TestRegridding:
         g = make_grid(16.0, 64)
         rng = np.random.default_rng(1)
         t = random_even_trace(g, rng)
-        (t2,), g2 = shrink_grid([t], g)
+        t2, g2 = shrink_grid(t, g)
         assert g2.half_length == 8.0
         assert g2.n_points == 32
         assert np.array_equal(t2, t[16:48])
@@ -109,7 +109,7 @@ class TestRegridding:
         g = make_grid(16.0, 64)
         k = g.wavenumbers[5]
         t = np.cos(k * g.x)
-        (t2,), g2 = refine_grid([t], g)
+        t2, g2 = refine_grid(t, g)
         expected = np.cos(k * g2.x)
         assert np.max(np.abs(t2 - expected)) < 1e-12
 
@@ -117,10 +117,10 @@ class TestRegridding:
         g = make_grid(16.0, 64)
         rng = np.random.default_rng(2)
         t = random_even_trace(g, rng)
-        (tw,), gw = widen_grid([t], g, factor=2.0)
-        back = shrink_grid([tw], gw)
+        tw, gw = widen_grid(t, g)
+        back = shrink_grid(tw, gw)
         assert back is not None
-        (ts,), gs = back
+        ts, gs = back
         assert gs.n_points == g.n_points
         assert np.array_equal(ts, t)
 
@@ -300,22 +300,26 @@ def test_step_underflow_stops_on_step_failure(monkeypatch):
     assert ds[-1] >= continuation.DS_MIN > continuation.DS_SHRINK * ds[-1]
 
 
-def test_eps_stage_failure_after_regrid_moves_secant(monkeypatch):
-    # the third eps-stage point refines the grid and its re-solve fails; the
-    # arclength stage then starts from the secant moved onto the new grid
+def test_failed_eps_stage_regrid_moves_nothing(monkeypatch):
+    # the third eps-stage point refines the grid and its re-solve fails; a
+    # regrid commits only when its solve succeeds, so the arclength stage
+    # starts from the secant on the pre-refine grid
     base = BaseParams(0.0, 0.5)
     cfg = ContinuationConfig(eps_start=0.05, max_points=4)
     g = make_grid(_auto_half_length(cfg.eps_start, base.eps1), 256)
     third = base.alpha_cr - cfg.eps_start * continuation.EPS_GROWTH ** 2
-    events = []
+    events, third_grids, corrector_grids = [], [], []
     solve, tail = continuation.newton_solve, continuation._mode_tail_fraction
 
     def failing_after_refine(t1, p, grid, ncfg, tangent=None):
-        if tangent is None and abs(p.alpha - third) < 1e-12:
+        if tangent is not None:
+            corrector_grids.append(grid)
+        elif abs(p.alpha - third) < 1e-12:
             if "refined" in events:
                 events.append("failed")
                 raise NewtonError("re-solve on the refined grid failed")
             events.append("third")
+            third_grids.append(grid)
         return solve(t1, p, grid, ncfg, tangent=tangent)
 
     def refining_once(t1, grid):
@@ -331,6 +335,42 @@ def test_eps_stage_failure_after_regrid_moves_secant(monkeypatch):
     assert br.stop_reason == "BUDGET" and len(br.points) == 4
     amps = [p.amplitude for p in br.points]
     assert all(b > a for a, b in zip(amps, amps[1:]))
+    assert corrector_grids[0] is third_grids[0]
+
+
+def test_narrow_start_box_raises_grid_too_narrow():
+    # the first point's predictor checks its box; the error is not wrapped
+    base = BaseParams(0.0, 0.5)
+    with pytest.raises(GridTooNarrow) as exc:
+        continue_branch(base, make_grid(32.0, 64), ContinuationConfig(max_points=2))
+    assert exc.value.required_half_length > 32.0
+
+
+def test_halved_box_too_narrow_for_the_eps_stage_still_steps():
+    # gamma = -0.3: the first point halves the box to L = 112, the eps stage's
+    # initializer does not fit there, and the arclength stage starts from the
+    # family's closed-form tangent, which checks no box
+    br = continue_branch(BaseParams(-0.3, 0.2), make_grid(224.0, 512),
+                         ContinuationConfig(eps_start=0.01, tail_tol=1e-8,
+                                            max_points=2))
+    assert br.solutions[0].grid.half_length == 112.0
+    assert br.stop_reason == "BUDGET" and len(br.points) == 2
+    assert br.points[1].amplitude > br.points[0].amplitude
+
+
+@pytest.mark.parametrize("gamma, eps", [(0.0, 0.01), (-0.3, 0.05), (0.4, 0.09)])
+def test_family_tangent_is_the_eps_derivative(gamma, eps):
+    # the closed-form tangent against a centred difference of the initializer
+    base = BaseParams(gamma, 0.5)
+    g = make_grid(1024.0, 4096)
+    h = 1e-4 * eps
+    (t_hi, p_hi), (t_lo, p_lo) = (init_small(eps + h, base, g),
+                                  init_small(eps - h, base, g))
+    diff = (t_hi - t_lo) / (2.0 * h)
+    tan_t, tan_a = continuation._family_tangent(eps, base, g)
+    assert np.max(np.abs(tan_t - diff)) <= 1e-6 * np.max(np.abs(diff))
+    assert tan_a == -1.0
+    assert (p_hi.alpha - p_lo.alpha) / (2.0 * h) == pytest.approx(tan_a, rel=1e-6)
 
 
 @pytest.fixture(scope="module")

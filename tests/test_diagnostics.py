@@ -122,7 +122,7 @@ class TestFlowForce:
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            flow_force_profile(small_wave, n_nodes=32, check=True)  # converged: no warning
+            flow_force_profile(small_wave, check=True)  # converged: no warning
 
 
 class TestFluxIdentity:

@@ -259,6 +259,14 @@ class TestCliContinue:
         sidecars = list((tmp_path / "branch_solutions").glob("*.json"))
         assert sidecars
 
+    def test_box_too_narrow_for_eps_start_exits_1(self, tmp_path, capsys):
+        rc = main(["continue", "--gamma", "0", "--eps1", "0.5",
+                   "--half-length", "32", "--n-points", "64",
+                   "--max-points", "2", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "grid too narrow" in capsys.readouterr().err
+        assert not (tmp_path / "branch.jsonl").exists()
+
     def test_config_file_with_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"gamma": 0.0, "eps1": 0.5,

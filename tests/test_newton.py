@@ -198,7 +198,7 @@ class TestStateReuse:
     @pytest.fixture(scope="class")
     def stiff_state(self, fixture_state):
         """The fixture state refined to N = 2048, perturbed by 1e-3 at the crest."""
-        (t1,), g = refine_grid([fixture_state.t1], fixture_state.grid)
+        t1, g = refine_grid(fixture_state.t1, fixture_state.grid)
         return self.perturbed(t1, g), fixture_state.params, g
 
     @pytest.fixture
