@@ -57,7 +57,6 @@ from .reduced_ode import (
     OdeParams,
     Orbit,
     f_reduced,
-    homoclinic_exact,
     integrate_orbit,
     phase_portrait,
 )

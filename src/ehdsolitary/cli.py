@@ -50,36 +50,32 @@ def _auto_half_length(eps: float, eps1: float) -> float:
     return float(np.ceil(required * 1.25 / 32.0) * 32.0)
 
 
-# Parsed names a config file does not set: argparse's own, the file itself,
-# the output options, and ode's launch list.
-_NOT_IN_CONFIG = {"command", "func", "config", "out", "format", "q0_list"}
-
-
 def _load_config(args, extra=()):
-    """The JSON object of the --config file, or {} without one.  Its keys are
-    the subcommand's other flags plus extra; any other key, a typo or a
-    retired setting, is a validation error rather than silently ignored."""
+    """The subcommand's numeric settings: each flag as given, else as the
+    --config file sets it.  The file holds a JSON object whose keys are the
+    numeric flags, each value read by the flag's type from its text as on
+    the command line, and extra, read as floats; any other key (a typo or a
+    retired setting) or unreadable value is a validation error."""
+    flags = {key: getattr(args, key) for key in args.config_types
+             if getattr(args, key) is not None}
     if args.config is None:
-        return {}
+        return flags
     with open(args.config) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValidationError("config", "configuration file must hold a JSON object")
-    unknown = sorted(set(obj) - (set(vars(args)) - _NOT_IN_CONFIG) - set(extra))
+    types = {**args.config_types, **dict.fromkeys(extra, float)}
+    unknown = sorted(set(obj) - set(types))
     if unknown:
         raise ValidationError("config", f"unknown key(s) {', '.join(unknown)} "
                               f"for {args.command}")
-    return obj
-
-
-def _resolve(args, config, key, default):
-    """Precedence: explicit flag > config file > default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in config:
-        return config[key]
-    return default
+    for key, value in obj.items():
+        try:
+            obj[key] = types[key](str(value))
+        except ValueError:
+            raise ValidationError(key, f"config value {value!r} cannot be "
+                                  f"read as {types[key].__name__}") from None
+    return {**obj, **flags}
 
 
 def _write_report(out_dir, name, payload, fmt, run_config):
@@ -97,9 +93,9 @@ def _write_report(out_dir, name, payload, fmt, run_config):
 
 def cmd_dispersion(args) -> int:
     config = _load_config(args)
-    gamma = _resolve(args, config, "gamma", 0.0)
-    eps1 = _resolve(args, config, "eps1", 0.5)
-    alpha = _resolve(args, config, "alpha", None)
+    gamma = config.get("gamma", 0.0)
+    eps1 = config.get("eps1", 0.5)
+    alpha = config.get("alpha")
     if alpha is None:
         print("dispersion: --alpha is required", file=sys.stderr)
         return EXIT_VALIDATION
@@ -131,11 +127,11 @@ def cmd_dispersion(args) -> int:
     return EXIT_OK
 
 
-def _solve_common(args, config):
-    gamma = _resolve(args, config, "gamma", 0.0)
-    eps1 = _resolve(args, config, "eps1", 0.5)
-    alpha = _resolve(args, config, "alpha", None)
-    eps = _resolve(args, config, "eps", None)
+def _solve_common(config):
+    gamma = config.get("gamma", 0.0)
+    eps1 = config.get("eps1", 0.5)
+    alpha = config.get("alpha")
+    eps = config.get("eps")
     base = BaseParams(gamma, eps1)
     if (alpha is None) == (eps is None):
         raise ValidationError("alpha", "pass exactly one of --alpha or --eps")
@@ -143,18 +139,18 @@ def _solve_common(args, config):
         eps = base.alpha_cr - alpha
         if eps <= 0:
             raise ValidationError("alpha", "alpha must lie below alpha_cr")
-    half_length = _resolve(args, config, "half_length", None)
+    half_length = config.get("half_length")
     if half_length is None:
         half_length = _auto_half_length(eps, eps1)
-    n_points = int(_resolve(args, config, "n_points", 1024))
-    tol = float(_resolve(args, config, "tol", 1e-11))
+    n_points = config.get("n_points", 1024)
+    tol = config.get("tol", 1e-11)
     g = make_grid(half_length, n_points)
-    return base, float(eps), g, tol
+    return base, eps, g, tol
 
 
 def cmd_solve(args) -> int:
     config = _load_config(args)
-    base, eps, g, tol = _solve_common(args, config)
+    base, eps, g, tol = _solve_common(config)
     run_config = {"command": "solve", "gamma": base.gamma, "eps1": base.eps1,
                   "eps": eps, "alpha": base.alpha_cr - eps,
                   "half_length": g.half_length, "n_points": g.n_points,
@@ -181,16 +177,16 @@ def cmd_continue(args) -> int:
     thresholds = {f.name for f in dataclasses.fields(ContinuationConfig)} \
         - {"eps_start", "max_points", "newton"}
     config = _load_config(args, thresholds)
-    gamma = _resolve(args, config, "gamma", 0.0)
-    eps1 = _resolve(args, config, "eps1", 0.5)
-    eps_start = float(_resolve(args, config, "eps_start", 1e-3))
-    max_points = int(_resolve(args, config, "max_points", 500))
-    half_length = _resolve(args, config, "half_length", None)
+    gamma = config.get("gamma", 0.0)
+    eps1 = config.get("eps1", 0.5)
+    eps_start = config.get("eps_start", 1e-3)
+    max_points = config.get("max_points", 500)
+    half_length = config.get("half_length")
     if half_length is None:
         half_length = _auto_half_length(eps_start, eps1)
-    n_points = int(_resolve(args, config, "n_points", 1024))
-    tol = float(_resolve(args, config, "tol", 1e-11))
-    store_every = int(_resolve(args, config, "store_every", 10))
+    n_points = config.get("n_points", 1024)
+    tol = config.get("tol", 1e-11)
+    store_every = config.get("store_every", 10)
 
     base = BaseParams(gamma, eps1)
     g = make_grid(half_length, n_points)
@@ -279,9 +275,9 @@ def cmd_diagnose(args) -> int:
 
 def cmd_conjugate(args) -> int:
     config = _load_config(args)
-    gamma = _resolve(args, config, "gamma", 0.0)
-    eps1 = _resolve(args, config, "eps1", 0.5)
-    alpha = _resolve(args, config, "alpha", None)
+    gamma = config.get("gamma", 0.0)
+    eps1 = config.get("eps1", 0.5)
+    alpha = config.get("alpha")
     if alpha is None:
         print("conjugate: --alpha is required", file=sys.stderr)
         return EXIT_VALIDATION
@@ -310,11 +306,11 @@ def cmd_conjugate(args) -> int:
 
 def cmd_ode(args) -> int:
     config = _load_config(args)
-    gamma = _resolve(args, config, "gamma", 0.0)
-    eps1 = _resolve(args, config, "eps1", 0.0)
-    eps = float(_resolve(args, config, "eps", 0.0))
-    dt = float(_resolve(args, config, "dt", 1e-3))
-    x_max = float(_resolve(args, config, "x_max", 20.0))
+    gamma = config.get("gamma", 0.0)
+    eps1 = config.get("eps1", 0.0)
+    eps = config.get("eps", 0.0)
+    dt = config.get("dt", 1e-3)
+    x_max = config.get("x_max", 20.0)
     if args.q0_list:
         launches = [float(v) for v in args.q0_list.split(",")]
     else:
@@ -397,6 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x-max", dest="x_max", type=float, default=None)
     sp.set_defaults(func=cmd_ode)
 
+    for sp in sub.choices.values():     # a --config sets the numeric flags
+        sp.set_defaults(config_types={a.dest: a.type for a in sp._actions
+                                      if a.type in (int, float)})
     return ap
 
 

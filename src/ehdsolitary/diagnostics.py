@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import WaveSolution, symmetry_error
-from .spectral import conjugate_primitive, ddx, dtn, harmonic_fields, harmonic_rows
+from .spectral import _cosh_ratio, conjugate_primitive, ddx, dtn, harmonic_fields
 from .system import (INTERIOR_LEVELS, SurfaceState, eliminated_t2, lambda_min,
                      surface_gradient_bounds)
 
-FLOW_FORCE_NODES = 32       # Gauss-Legendre nodes over the strip height
+FLOW_FORCE_PAD = 2          # zero-padding factor of the flow-force integrand
 NODAL_NOISE_FACTOR = 10.0   # slope noise floor over the top-band ripple
 PROP65_TOL = 1e-9           # a bound margin within this is an equality
 REPORT_STATIONS = 9         # flow-force stations listed by full_report
@@ -87,27 +87,39 @@ def asymptotic_field_deviation(sol: WaveSolution) -> float:
 
 # --- flow force ---------------------------------------------------------------
 
-def _flow_force_all_stations(sol: WaveSolution, n_nodes: int) -> np.ndarray:
-    """Flow force evaluated at every collocation station by Gauss-Legendre
-    quadrature over the strip height, from one transform of (t1, t2)."""
+def _flow_force_all_stations(sol: WaveSolution, pad: int) -> np.ndarray:
+    """Flow force at every station, with the integral over the strip height
+    in closed form.  The integrand is Re G, G = (F'^2 + eps1) / (2 Z'), with
+    Z' = eta_y + i eta_x and F' = zeta_y + i zeta_x analytic in x + i y, so
+    mode k of G varies as exp(-k y): integrated, it is mode k of G on the
+    bottom (k > 0) or the surface (k < 0) times (1 - exp(-|k|)) / |k|, in
+    (0, 1].  As G is real on the bottom, rfft mode k of the integral of Re G
+    is that factor times half the sum of mode k of conj(G) on both lines.  G
+    is taken on a pad-times zero-padded grid of the same box, which keeps
+    its aliasing off the stations."""
     p, g, t1 = sol.params, sol.grid, sol.t1
-    t12 = np.stack([t1, eliminated_t2(t1, p)])
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    ys = 0.5 * (nodes + 1.0)            # map to (0, 1)
-    ws = 0.5 * weights
-
-    total = np.zeros(g.n_points)
-    # one node at a time: stacking all nodes would hold 3 n_nodes (2, N) fields
-    for w, (_, wx, wy) in zip(ws, harmonic_rows(t12, g, ys)):
-        eta_x, zeta_x = wx
-        eta_y, zeta_y = 1.0 + wy[0], (1.0 - p.gamma) + wy[1]
-        gradsq = eta_x ** 2 + eta_y ** 2
-        hydro = (eta_y * (zeta_y ** 2 - zeta_x ** 2)
-                 + 2.0 * eta_x * zeta_x * zeta_y) / gradsq
-        electric = eta_y / gradsq       # potential is exactly the height coordinate
-        total += w * (0.5 * hydro + 0.5 * p.eps1 * electric)
-
+    n, k = pad * g.n_points, g.wavenumbers
     eta_surface = 1.0 + t1
+    # the surface traces of eta and zeta, exactly interpolated: irfft pads
+    # with zeros, and g's Nyquist mode splits between +k and -k
+    c = pad * np.fft.rfft([eta_surface, 1.0 - p.gamma + eliminated_t2(t1, p)], axis=-1)
+    c[:, -1] *= 0.5
+
+    # bottom: d/dy is k / sinh k and d/dx is 0, so G is real there
+    eta_y, zeta_y = np.fft.irfft(c * _cosh_ratio(k, 0.0), n=n, axis=-1)
+    h = np.fft.rfft((zeta_y * zeta_y + p.eps1) / (2.0 * eta_y))
+    del eta_y, zeta_y                       # one line's fields at a time
+    # surface: conj(Z') = eta_y - i eta_x and conj(F') through dtn and i k,
+    # which keeps g's Nyquist mode: it is interior to the padded grid
+    z, f = (np.fft.irfft(row * g.dtn_symbol, n=n) - 1j * np.fft.irfft(row * (1j * k), n=n)
+            for row in c)
+    h += np.fft.fft((f * f + p.eps1) / (2.0 * z))[:len(h)]
+    kf = (np.pi / g.half_length) * np.arange(1, len(h))
+    h[0] *= 0.5
+    h[1:] *= -0.5 * np.expm1(-kf) / kf
+    h[-1] = 0.0
+    total = np.fft.irfft(h, n=n)[::pad]
+
     boundary = (p.gamma ** 2 / 6.0 * eta_surface ** 3
                 + 0.5 * p.alpha * eta_surface ** 2
                 - 0.5 * (2.0 * p.alpha + 1.0 + p.eps1) * eta_surface)
@@ -115,17 +127,17 @@ def _flow_force_all_stations(sol: WaveSolution, n_nodes: int) -> np.ndarray:
 
 
 def flow_force_profile(sol: WaveSolution, check: bool = True) -> np.ndarray:
-    """Flow force at all stations from FLOW_FORCE_NODES quadrature nodes;
-    optionally verifies quadrature convergence by node doubling and warns
-    when the result moves by more than 1e-8."""
-    s = _flow_force_all_stations(sol, FLOW_FORCE_NODES)
+    """Flow force at all stations, its integrand evaluated on a
+    FLOW_FORCE_PAD-times zero-padded grid; optionally verifies convergence by
+    doubling the padding and warns when the result moves by more than 1e-8."""
+    s = _flow_force_all_stations(sol, FLOW_FORCE_PAD)
     if check:
-        s2 = _flow_force_all_stations(sol, 2 * FLOW_FORCE_NODES)
+        s2 = _flow_force_all_stations(sol, 2 * FLOW_FORCE_PAD)
         gap = float(np.max(np.abs(s2 - s)))
         if gap > 1e-8:
             warnings.warn(
-                f"flow-force quadrature not converged: node doubling moved "
-                f"the result by {gap:.2e}", RuntimeWarning, stacklevel=2)
+                f"flow-force integrand not resolved: doubling the padding "
+                f"moved the result by {gap:.2e}", RuntimeWarning, stacklevel=2)
     return s
 
 

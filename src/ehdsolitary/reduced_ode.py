@@ -1,5 +1,5 @@
 """Planar reduced dynamics of the small-amplitude regime: the truncated
-right-hand side, its explicit localized orbit, an energy-conserving RK4 check
+right-hand side, its first integral, an energy-conserving RK4 check
 integrator, and phase-portrait sampling.
 
 In the scaled variables a = eps Q, x = sqrt((1 + eps1)/eps) X of the
@@ -67,14 +67,6 @@ def f_reduced(a: float, b: float, eps: float, p: OdeParams) -> float:
     right-hand side is even in b).
     """
     return 3.0 * eps * a - p.c2 * a * a
-
-
-def homoclinic_exact(x, p: OdeParams):
-    """Closed-form localized orbit q0 sech^2(sqrt(3) x / 2) of the scaled
-    equation; even in x with maximum q0 at x = 0."""
-    x = np.asarray(x, dtype=float)
-    val = p.q0 / np.cosh(0.5 * np.sqrt(3.0) * x) ** 2
-    return float(val) if val.ndim == 0 else val
 
 
 def energy(q, pdot, p: OdeParams):

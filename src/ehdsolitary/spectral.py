@@ -113,35 +113,26 @@ def eval_interior(t: np.ndarray, g: Grid, y: float) -> np.ndarray:
     return _apply_multiplier(_check_trace(t, g), _sinh_ratio(g.wavenumbers, y))
 
 
-def harmonic_rows(t: np.ndarray, g: Grid, ys):
-    """Yield the harmonic extension w of t and its derivatives w_x, w_y at
-    each height y of ys in [0, 1], as one (w, w_x, w_y) per height, from one
+def harmonic_fields(t: np.ndarray, g: Grid, ys):
+    """The harmonic extension w of t and its derivatives w_x, w_y at each
+    height y of ys in [0, 1], each of shape (len(ys),) + t.shape, from one
     forward transform of t.
 
     t may be a batch of traces on its leading axes.  The row at y = 1 is
-    exactly t, ddx(t) and dtn(t).  The height symbols are built per row and
-    not kept, so a caller that consumes one row at a time holds one row.
+    exactly t, ddx(t) and dtn(t).
     """
     t = _check_trace(t, g)
     ys = [_check_height(y) for y in ys]
     k, n = g.wavenumbers, g.n_points
     c = np.fft.rfft(t, axis=-1)
     cx = c * g.ddx_symbol
-    for y in ys:
-        sinh_y = _sinh_ratio(k, y)          # exactly 1 at y = 1
-        w = t if y == 1.0 else np.fft.irfft(c * sinh_y, n=n, axis=-1)
-        w_x = np.fft.irfft(cx * sinh_y, n=n, axis=-1)
-        cosh_y = g.dtn_symbol if y == 1.0 else _cosh_ratio(k, y)
-        yield w, w_x, np.fft.irfft(c * cosh_y, n=n, axis=-1)
-
-
-def harmonic_fields(t: np.ndarray, g: Grid, ys):
-    """The rows of harmonic_rows stacked: w, w_x and w_y, each of shape
-    (len(ys),) + t.shape."""
-    t = _check_trace(t, g)
     w, w_x, w_y = (np.empty((len(ys),) + t.shape) for _ in range(3))
-    for i, row in enumerate(harmonic_rows(t, g, ys)):
-        w[i], w_x[i], w_y[i] = row
+    for i, y in enumerate(ys):
+        sinh_y = _sinh_ratio(k, y)          # exactly 1 at y = 1
+        w[i] = t if y == 1.0 else np.fft.irfft(c * sinh_y, n=n, axis=-1)
+        w_x[i] = np.fft.irfft(cx * sinh_y, n=n, axis=-1)
+        cosh_y = g.dtn_symbol if y == 1.0 else _cosh_ratio(k, y)
+        w_y[i] = np.fft.irfft(c * cosh_y, n=n, axis=-1)
     return w, w_x, w_y
 
 

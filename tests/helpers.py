@@ -1,9 +1,9 @@
 import numpy as np
 
 from ehdsolitary.model import Grid, Params
-from ehdsolitary.reduced_ode import _rk4_step
+from ehdsolitary.reduced_ode import OdeParams, _rk4_step
 from ehdsolitary.spectral import (_apply_multiplier, _check_height, _check_trace,
-                                  _cosh_ratio, ddx, dtn)
+                                  _cosh_ratio, ddx, dtn, harmonic_fields)
 from ehdsolitary.system import _require_finite, eliminated_t2
 
 
@@ -24,6 +24,14 @@ def eval_interior_dy(t, g, y):
     """
     y = _check_height(y)
     return _apply_multiplier(_check_trace(t, g), _cosh_ratio(g.wavenumbers, y))
+
+
+def homoclinic_exact(x, p: OdeParams):
+    """Closed-form localized orbit q0 sech^2(sqrt(3) x / 2) of the scaled
+    equation; even in x with maximum q0 at x = 0."""
+    x = np.asarray(x, dtype=float)
+    val = p.q0 / np.cosh(0.5 * np.sqrt(3.0) * x) ** 2
+    return float(val) if val.ndim == 0 else val
 
 
 def homoclinic_slope(x, p):
@@ -137,3 +145,32 @@ def reference_alpha_derivative(t1: np.ndarray, p: Params, g: Grid) -> np.ndarray
     w1x = ddx(t1, g)
     w1y = dtn(t1, g)
     return 2.0 * t1 * (w1x * w1x + (1.0 + w1y) ** 2)
+
+
+def reference_flow_force(sol, n_nodes):
+    """Flow force evaluated at every collocation station by Gauss-Legendre
+    quadrature over the strip height, from one transform of (t1, t2) per
+    node: the oracle for the closed form in diagnostics."""
+    p, g, t1 = sol.params, sol.grid, sol.t1
+    t12 = np.stack([t1, eliminated_t2(t1, p)])
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    ys = 0.5 * (nodes + 1.0)            # map to (0, 1)
+    ws = 0.5 * weights
+
+    total = np.zeros(g.n_points)
+    # one node at a time: stacking all nodes would hold 3 n_nodes (2, N) fields
+    for w, y in zip(ws, ys):
+        _, (wx,), (wy,) = harmonic_fields(t12, g, (y,))
+        eta_x, zeta_x = wx
+        eta_y, zeta_y = 1.0 + wy[0], (1.0 - p.gamma) + wy[1]
+        gradsq = eta_x ** 2 + eta_y ** 2
+        hydro = (eta_y * (zeta_y ** 2 - zeta_x ** 2)
+                 + 2.0 * eta_x * zeta_x * zeta_y) / gradsq
+        electric = eta_y / gradsq       # potential is exactly the height coordinate
+        total += w * (0.5 * hydro + 0.5 * p.eps1 * electric)
+
+    eta_surface = 1.0 + t1
+    boundary = (p.gamma ** 2 / 6.0 * eta_surface ** 3
+                + 0.5 * p.alpha * eta_surface ** 2
+                - 0.5 * (2.0 * p.alpha + 1.0 + p.eps1) * eta_surface)
+    return total - boundary

@@ -20,7 +20,6 @@ from ehdsolitary import (
     dispersion_root,
     flow_force_profile,
     flux_identity_check,
-    homoclinic_exact,
     init_small,
     integrate_orbit,
     jacobian_apply,
@@ -44,7 +43,7 @@ from ehdsolitary.continuation import (
 from ehdsolitary.newton import build_solution
 from ehdsolitary.spectral import dtn, dtn_multiplier
 
-from helpers import homoclinic_slope, qhat_second, random_even_trace
+from helpers import homoclinic_exact, homoclinic_slope, qhat_second, random_even_trace
 from three_component import newton_solve_three_component
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "reference.json"
@@ -182,7 +181,7 @@ A4_WAVES = [(0.0, 0.5, 0.01), (0.4, 0.5, 0.02), (-0.3, 0.0, 0.02),
 @pytest.mark.parametrize("gamma,eps1,eps", A4_WAVES)
 def test_a4_flow_force_invariance(gamma, eps1, eps):
     """Relative flow-force spread over 9 stations below 1e-6 at solver
-    tolerance 1e-11 with 32-node quadrature."""
+    tolerance 1e-11, with the height integral in closed form."""
     base = BaseParams(gamma, eps1)
     g = make_grid(_auto_half_length(eps, eps1), 1024)
     t0, p = init_small(eps, base, g)
@@ -322,7 +321,7 @@ def test_branch_prefix_matches_benchmark_reference(default_branch):
     strict=True,
     reason="once refining would pass n_max the branch accepts points whose "
            "cosine spectrum fails mode_tail_tol (points 47-50 of the default "
-           "branch); see ROADMAP item 3")
+           "branch); see ROADMAP item 2")
 def test_accepted_points_meet_mode_tail(default_branch):
     """Every accepted point of the default branch meets the spectral-tail
     part of the adequacy contract."""

@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ehdsolitary import (
     prop65_check,
 )
 from ehdsolitary.diagnostics import (
+    _flow_force_all_stations,
     asymptotic_field_deviation,
     bernoulli_field_residual,
     full_report,
@@ -22,11 +24,15 @@ from ehdsolitary.diagnostics import (
     hard_violations,
     kinematic_residual,
 )
+from ehdsolitary.io import load_solution
 from ehdsolitary.model import WaveSolution
 from ehdsolitary.newton import build_solution
 from ehdsolitary.spectral import dtn, dtn_multiplier, harmonic_fields
 from ehdsolitary.system import INTERIOR_LEVELS
 
+from helpers import reference_flow_force
+
+FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
 def trivial_solution(gamma, eps1, alpha, L=20.0, n=64):
     g = make_grid(L, n)
@@ -92,6 +98,8 @@ class TestFlowForce:
         expected = gamma ** 2 / 3.0 - gamma + alpha / 2.0 + 1.0 + eps1
         for x in (0.0, -5.0, 7.5):
             assert flow_force(sol, x) == pytest.approx(expected, abs=1e-12)
+        s = flow_force_profile(sol, check=True)
+        assert np.max(np.abs(s - reference_flow_force(sol, 64))) < 1e-12
 
     def test_reference_value_matches_unit_depth_force(self):
         sol = trivial_solution(0.0, 0.5, 1.0)
@@ -118,11 +126,43 @@ class TestFlowForce:
         with pytest.raises(ValueError, match="outside"):
             flow_force(small_wave, 1e9)
 
-    def test_quadrature_warning_path(self, small_wave):
-        import warnings
+    @pytest.mark.parametrize("wave", ["small_wave", "rotational_wave"])
+    def test_matches_quadrature_oracle(self, wave, request):
+        sol = request.getfixturevalue(wave)
+        s = flow_force_profile(sol, check=True)
+        assert np.max(np.abs(s - reference_flow_force(sol, 64))) < 1e-12
+
+    # state 56 is under-resolved at N = 8192
+    @pytest.mark.parametrize("index,tol", [(0, 1e-12), (20, 1e-12), (35, 1e-12),
+                                           (44, 1e-12), (46, 1e-12), (50, 1e-12),
+                                           (56, 1e-8)])
+    def test_bench_states_match_quadrature_oracle(self, index, tol):
+        sol, _, _ = load_solution(FIXTURES / f"point_{index:05d}.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = flow_force_profile(sol, check=True)
+        assert np.max(np.abs(s - reference_flow_force(sol, 64))) < tol
+
+    def test_padding_check_is_quiet_when_resolved(self, small_wave):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             flow_force_profile(small_wave, check=True)  # converged: no warning
+
+    def test_padding_check_warns_when_unresolved(self):
+        # eta_y = 1 - 0.5 cos(k4 x) on the surface: 1/Z' decays so slowly in
+        # k that twice the grid still aliases
+        g = make_grid(np.pi * 4, 64)
+        k = g.wavenumbers[4]
+        t1 = -0.5 * np.cos(k * g.x) / dtn_multiplier(np.array([k]))[0]
+        sol = synthetic_solution(t1, 0.0, 0.5, 1.0, np.pi * 4, 64)
+        with pytest.warns(RuntimeWarning, match="doubling the padding"):
+            s = flow_force_profile(sol, check=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(flow_force_profile(sol, check=False), s)
+        # more padding converges to the quadrature
+        fine = _flow_force_all_stations(sol, 8)
+        assert np.max(np.abs(fine - reference_flow_force(sol, 64))) < 1e-12
 
 
 class TestFluxIdentity:

@@ -363,6 +363,23 @@ def test_config_keys_are_the_subcommand_flags(tmp_path, capsys, argv, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,config,key", [
+    (["dispersion"], {"gamma": True, "alpha": 1.0}, "gamma"),
+    (["dispersion"], {"gamma": None, "alpha": 1.0}, "gamma"),
+    (["solve"], {"n_points": 100.5, "eps": 0.01}, "n_points"),
+], ids=["bool-for-float", "null-for-float", "fraction-for-int"])
+def test_config_values_are_read_by_their_flag_type(tmp_path, capsys, argv,
+                                                   config, key):
+    # a config value is read as its flag's text would be on the command line
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err and key in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["continue", "--eps", "0.01"],
     ["diagnose", "--input", "solution.json", "--gamma", "0"],

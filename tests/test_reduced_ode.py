@@ -7,14 +7,13 @@ from ehdsolitary import (
     BaseParams,
     OdeParams,
     f_reduced,
-    homoclinic_exact,
     integrate_orbit,
     phase_portrait,
 )
 from ehdsolitary.continuation import small_amplitude_coefficients
 from ehdsolitary.reduced_ode import energy
 
-from helpers import closed_orbit_return, homoclinic_slope
+from helpers import closed_orbit_return, homoclinic_exact, homoclinic_slope
 
 
 class TestOdeParams:
