@@ -11,24 +11,28 @@ corrector's last row is the arclength constraint; a fixed-alpha solve pins
 alpha with c = 0, c_alpha = 1, n_val = 0, which gives dalpha = 0 exactly.
 The bordered system is solved by LU of the dense collocation matrix
 (deterministic, default for N <= DENSE_MAX_N) or by preconditioned GMRES on
-the same operator, matrix-free, with the uniform-stream multiplier as the
-preconditioner.
+the same operator, matrix-free.  The dense matrix is assembled from the
+spectra of the linearization's pointwise coefficients, with no transform of
+basis traces.  The GMRES preconditioner freezes J's principal coefficient:
+a pointwise factor in x-space, then the uniform-stream multiplier; GMRES
+gives up after KRYLOV_MAXITER restarts, so a stagnating solve fails fast.
 
 Each accepted iterate is one SurfaceState, the one its residual came from.
-The state is handed to the dense assembly and every GMRES matvec, so none of
-them re-derives the base fields of the iterate, and the converged state
-gives the solution's residual.
+The state is handed to the dense assembly, the preconditioner and every
+GMRES matvec, so none of them re-derives the base fields of the iterate,
+and the converged state gives the solution's residual.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .model import Grid, Params, WaveSolution, amplitude_of, symmetrize, tail_of
-from .spectral import cosine_basis, cosine_coefficients, values_from_cosine
+from .spectral import cosine_coefficients, values_from_cosine
 from .system import (
     NonFiniteTrace,
     SurfaceState,
@@ -42,7 +46,7 @@ DAMPING = 0.5              # backtracking factor
 MIN_STEP = 2.0 ** -10      # smallest damped step tried
 DENSE_MAX_N = 1024         # linear_solver="auto" takes the dense LU up to this N
 KRYLOV_RTOL = 1e-10
-KRYLOV_MAXITER = 400
+KRYLOV_MAXITER = 15        # GMRES restarts of 20 inner iterations
 
 
 class NewtonError(RuntimeError):
@@ -99,19 +103,71 @@ def build_solution(t1_or_state, p: Params, g: Grid, tol: float,
 
 def dense_jacobian(t1_or_state, p: Params, g: Grid) -> np.ndarray:
     """Collocation Jacobian in the cosine basis at a trace or SurfaceState,
-    assembled column-by-column (batched) from directional derivatives on
-    basis traces."""
-    basis = cosine_basis(g)                       # (M, N)
-    dr = jacobian_apply(t1_or_state, basis, p, g)  # (M, N)
-    return cosine_coefficients(dr, g).T           # (M, M): rows output, cols input
+    rows output and columns input mode, from the spectra of the state's
+    coefficients alone.
+
+    In the cosine basis, multiplying by a function f is the matrix
+    P(f)[r, l] = (w_r / 2) (G[r - l] + G[r + l]), G the transform of f with
+    its phase origin at x = 0 (indices mod N) and w_r the cosine weight
+    |g.cosine_weights|; the DFT of a pointwise product is the circular
+    convolution of the DFTs, so this is the discrete operator itself,
+    aliasing included.  dtn and ddx are diagonal, so
+        J = P(a0) + P(a1) diag(k coth k) + P_odd(a2) diag(i k)
+            + P(a3) diag(k coth k) P(a4),
+    P_odd taking the odd part of G.  P is a Toeplitz plus a Hankel window of
+    one extended spectrum; the last term is one matrix product, and vanishes
+    at gamma = 0, where a4 = -gamma (1 + t1) is zero.  Memory is a few (M, M)
+    arrays; no (M, N) basis is formed.
+    """
+    state = SurfaceState.of(t1_or_state, p, g)
+    m, n = g.n_modes, g.n_points
+    # G[0 .. N/2] with the phase origin moved from x = -L to x = 0
+    spec = np.fft.rfft(np.stack(state.coefficients), axis=-1) * np.sign(g.cosine_weights)
+    # G[j - (m - 1)] for j = 0 .. 3m - 3, from G[-j] = conj(G[j]) for real f
+    j = (np.arange(3 * m - 2) - (m - 1)) % n
+    ext = spec[:, np.minimum(j, n - j)]
+    even = ext.real
+    odd = ext.imag[2] * np.where(j <= n // 2, 1.0, -1.0)
+
+    def toeplitz(v):                  # row r, column l: v[r - l]
+        return sliding_window_view(v[:2 * m - 1], m)[:, ::-1]
+
+    def hankel(v):                    # row r, column l: v[r + l]
+        return sliding_window_view(v[m - 1:], m)
+
+    def product(v):                   # P(f) without its row weights
+        return toeplitz(v) + hankel(v)
+
+    half_w = 0.5 * np.abs(g.cosine_weights)[:, None]
+    mu = g.dtn_symbol
+    # a2 ddx(cos(k_l x)) = -k_l a2 sin(k_l x)
+    jac = (product(even[0]) + product(even[1]) * mu
+           + (hankel(odd) - toeplitz(odd)) * g.ddx_symbol.imag)
+    jac *= half_w
+    if p.gamma != 0.0:
+        jac += (half_w * product(even[3])) @ (half_w * mu[:, None] * product(even[4]))
+    return jac
 
 
-def _preconditioner(p: Params, g: Grid) -> np.ndarray:
-    """Diagonal Fourier preconditioner 1/max(|m(k)|, floor); the floor guards
-    the near-zero mode close to the bifurcation threshold."""
+def _preconditioner(state: SurfaceState):
+    """Approximate inverse of the principal part of J, on cosine
+    coefficients: the factor c_edge / c(x) in x-space, then the symbol
+    1/max(|m(k)|, floor).
+
+    c = a1 + a3 a4 = -2 stag (1 + w1y) is J's coefficient of |k| at high
+    wavenumbers; it is c_edge = -2 (1 + eps1) where the wave has decayed and
+    shrinks at the crest as stag -> 0.  |m(k)| is floored at 1e-3 (1 + eps1)
+    near the bifurcation threshold, and |c| at 1e-3 |c_edge| where stag or
+    1 + w1y changes sign (stagnation, an overhang).
+    """
+    p, g = state.params, state.grid
+    _, a1, _, a3, a4 = state.coefficients
     floor = 1e-3 * (1.0 + p.eps1)
-    m = np.abs(linear_multiplier(g.wavenumbers, p))
-    return 1.0 / np.maximum(m, floor)
+    symbol = 1.0 / np.maximum(np.abs(linear_multiplier(g.wavenumbers, p)), floor)
+    c = a1 + a3 * a4
+    c_edge = -2.0 * (1.0 + p.eps1)
+    factor = c_edge / np.copysign(np.maximum(np.abs(c), 1e-3 * abs(c_edge)), c)
+    return lambda a: symbol * cosine_coefficients(factor * values_from_cosine(a, g), g)
 
 
 def _use_dense(cfg: NewtonConfig, g: Grid) -> bool:
@@ -125,9 +181,11 @@ def _bordered_solver(state: SurfaceState, c: np.ndarray, c_alpha: float,
     """The linear step (r, n_val) -> (dt, dalpha) of the bordered system
     [J b; c c_alpha] at state, b defaulting to the state's dR/dalpha.
 
-    Dense: one LU of the (M+1, M+1) matrix, reused by every call.  Krylov:
-    each call is one GMRES solve, preconditioned by diag(1/|m(k)|, 1),
-    matrix-free, so memory stays O(N).  The bordered operator stays
+    Dense: one LU of the (M+1, M+1) matrix from dense_jacobian, reused by
+    every call.  Krylov: each call is one GMRES solve, matrix-free, so memory
+    stays O(N), of at most KRYLOV_MAXITER restarts; the preconditioner is
+    _preconditioner on the modes, one transform pair per application, and
+    passes the border entry unchanged.  The bordered operator stays
     invertible at an alpha fold, where J is singular.
     """
     p, g = state.params, state.grid
@@ -143,7 +201,7 @@ def _bordered_solver(state: SurfaceState, c: np.ndarray, c_alpha: float,
             raise SingularLinearSolve(f"bordered factorization failed: {exc}") from exc
         solve = lambda rhs: lu_solve(lu, rhs)
     else:
-        diag = np.append(_preconditioner(p, g), 1.0)
+        precondition = _preconditioner(state)
 
         def matvec(x):
             jx = cosine_coefficients(
@@ -151,7 +209,8 @@ def _bordered_solver(state: SurfaceState, c: np.ndarray, c_alpha: float,
             return np.append(jx + b * x[m], c @ x[:m] + c_alpha * x[m])
 
         op = LinearOperator((m + 1, m + 1), matvec=matvec)
-        pre = LinearOperator((m + 1, m + 1), matvec=lambda a: diag * a)
+        pre = LinearOperator((m + 1, m + 1), matvec=lambda a: np.append(
+            precondition(a[:m]), a[m]))
 
         def solve(rhs):
             sol, info = gmres(op, rhs, rtol=KRYLOV_RTOL, atol=0.0,

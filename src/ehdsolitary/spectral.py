@@ -165,7 +165,8 @@ def conjugate_primitive(t: np.ndarray, g: Grid) -> np.ndarray:
 # --- even (cosine) basis helpers -------------------------------------------
 #
 # An even trace t(x) = sum_n a_n cos(k_n x) is represented by its
-# coefficient vector a of length N/2 + 1.  Used by the dense Newton path.
+# coefficient vector a of length N/2 + 1, the unknown of the Newton
+# linear step.
 
 def _cosine_weights(g: Grid) -> np.ndarray:
     """Per-mode factor w_n (-1)^n mapping rfft real parts to cosine
@@ -192,8 +193,3 @@ def values_from_cosine(a: np.ndarray, g: Grid) -> np.ndarray:
         raise ValueError("coefficient length does not match grid")
     c = a / g.cosine_weights
     return np.fft.irfft(c.astype(complex), n=g.n_points, axis=-1)
-
-
-def cosine_basis(g: Grid) -> np.ndarray:
-    """Matrix B with row n the sampled basis trace cos(k_n x), shape (M, N)."""
-    return np.cos(np.outer(g.wavenumbers, g.x))

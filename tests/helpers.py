@@ -3,8 +3,9 @@ import numpy as np
 from ehdsolitary.model import Grid, Params
 from ehdsolitary.reduced_ode import OdeParams, _rk4_step
 from ehdsolitary.spectral import (_apply_multiplier, _check_height, _check_trace,
-                                  _cosh_ratio, ddx, dtn, harmonic_fields)
-from ehdsolitary.system import _require_finite, eliminated_t2
+                                  _cosh_ratio, cosine_coefficients, ddx, dtn,
+                                  harmonic_fields)
+from ehdsolitary.system import _require_finite, eliminated_t2, jacobian_apply
 
 
 def random_even_trace(g, rng, n_modes=12, scale=1.0, decay=0.5):
@@ -137,6 +138,18 @@ def reference_jacobian_apply(t1: np.ndarray, dt: np.ndarray, p: Params, g: Grid)
     out = 2.0 * stream * dstream + 2.0 * p.alpha * dt * gradsq - stag * dgradsq
     _require_finite(out, "Jacobian application")
     return out
+
+
+def cosine_basis(g: Grid) -> np.ndarray:
+    """Matrix B with row n the sampled basis trace cos(k_n x), shape (M, N)."""
+    return np.cos(np.outer(g.wavenumbers, g.x))
+
+
+def reference_dense_jacobian(t1_or_state, p: Params, g: Grid) -> np.ndarray:
+    """Collocation Jacobian in the cosine basis, column by column from the
+    directional derivatives on the basis traces (one batched application):
+    the oracle for newton.dense_jacobian."""
+    return cosine_coefficients(jacobian_apply(t1_or_state, cosine_basis(g), p, g), g).T
 
 
 def reference_alpha_derivative(t1: np.ndarray, p: Params, g: Grid) -> np.ndarray:

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from ehdsolitary.io import load_solution
 from ehdsolitary.model import symmetry_error
 from ehdsolitary.spectral import cosine_coefficients
 from ehdsolitary.system import residual
+from helpers import reference_dense_jacobian
 from three_component import newton_solve_three_component
 
 FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
@@ -247,7 +249,9 @@ class TestStateReuse:
         newton.solve_newton_step(state, state.residual, p, g,
                                  NewtonConfig(linear_solver="dense"))
         assert counts["states"] == 0
-        assert counts["matvecs"] == 1
+        # the dense Jacobian is assembled from the state's coefficient
+        # spectra, with no Jacobian application on basis traces
+        assert counts["matvecs"] == 0
 
     def test_one_state_per_residual_evaluation(self, stiff_state, counts):
         # newton_solve evaluates a residual on every trace whose lambda_min is
@@ -258,3 +262,77 @@ class TestStateReuse:
         assert len(sol.norm_history) > 1
         assert counts["matvecs"] > 10
         assert counts["states"] == sum(lam > 0 for lam in counts["lambdas"])
+
+
+def crest_state(g, gamma, eps1, height=0.3, alpha_ratio=0.8):
+    """SurfaceState of the even trace height sech^2(x / 2) plus a ripple, at
+    alpha = alpha_ratio * alpha_cr."""
+    t1 = height / np.cosh(0.5 * g.x) ** 2 * (1.0 + 0.1 * np.cos(3.0 * g.x))
+    p = make_params(gamma, eps1, alpha_ratio * BaseParams(gamma, eps1).alpha_cr)
+    return system.SurfaceState(t1, p, g)
+
+
+class TestDenseJacobian:
+    """The Jacobian assembled from coefficient spectra is the operator that
+    jacobian_apply applies, column by column."""
+
+    @pytest.mark.parametrize("n,half_length", [(16, 8.0), (384, 40.0), (1024, 64.0)])
+    @pytest.mark.parametrize("eps1", [0.0, 0.5])
+    @pytest.mark.parametrize("gamma", [-0.3, 0.0, 0.4])
+    def test_matches_basis_columns(self, gamma, eps1, n, half_length):
+        g = make_grid(half_length, n)
+        state = crest_state(g, gamma, eps1)
+        expected = reference_dense_jacobian(state, state.params, g)
+        jac = newton.dense_jacobian(state, state.params, g)
+        assert jac.shape == (g.n_modes, g.n_modes)
+        assert np.max(np.abs(jac - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_memory_is_a_few_mode_by_mode_arrays(self):
+        # at gamma != 0, so the a3 dtn(a4 .) product is formed too
+        g = make_grid(128.0, 2048)
+        state = crest_state(g, 0.4, 0.5)
+        state.coefficients              # cached before the measurement
+        tracemalloc.start()
+        try:
+            newton.dense_jacobian(state, state.params, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * g.n_modes ** 2
+
+
+class TestKrylovStep:
+    def test_stagnating_solve_fails_within_the_cap(self, monkeypatch):
+        # a zero border row (c = 0, c_alpha = 0) with n_val = 1 leaves the
+        # bordered system without a solution, so GMRES cannot converge
+        g = make_grid(128.0, 2048)
+        state = crest_state(g, 0.0, 0.5)
+        p = state.params
+        applied = []
+
+        def counting_apply(*args):
+            applied.append(1)
+            return system.jacobian_apply(*args)
+
+        monkeypatch.setattr(newton, "jacobian_apply", counting_apply)
+        b = cosine_coefficients(state.alpha_derivative, g)
+        with pytest.raises(newton.SingularLinearSolve, match="GMRES"):
+            newton.solve_newton_step(state, state.residual, p, g,
+                                     NewtonConfig(linear_solver="krylov"),
+                                     border=(b, np.zeros(g.n_modes), 0.0, 1.0))
+        # it fails fast: at most 15 restarts, each one residual and at most
+        # 20 inner applications, plus the initial residual
+        assert len(applied) <= 15 * 21 + 1
+
+    def test_preconditioner_finite_where_principal_coefficient_changes_sign(self):
+        g = make_grid(16.0, 512)
+        t1 = 2.0 / np.cosh(g.x) ** 2
+        p = make_params(0.0, 0.5, 0.9)
+        state = system.SurfaceState(t1, p, g)
+        principal = state.stag * (1.0 + state.w1y)
+        assert np.min(principal) < 0.0 < np.max(principal)
+        precondition = newton._preconditioner(state)
+        rng = np.random.default_rng(11)
+        out = precondition(rng.standard_normal(g.n_modes))
+        assert out.shape == (g.n_modes,)
+        assert np.all(np.isfinite(out))

@@ -7,7 +7,6 @@ from ehdsolitary import conjugate_primitive, ddx, dtn, eval_interior, make_grid
 from ehdsolitary.spectral import (
     _cosine_weights,
     _ddx_multiplier,
-    cosine_basis,
     cosine_coefficients,
     dtn_multiplier,
     harmonic_fields,
@@ -15,7 +14,7 @@ from ehdsolitary.spectral import (
     values_from_cosine,
 )
 
-from helpers import eval_interior_dy, random_even_trace
+from helpers import cosine_basis, eval_interior_dy, random_even_trace
 
 
 def fd6_derivative(values, h):

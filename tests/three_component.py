@@ -11,13 +11,13 @@ from ehdsolitary import Grid, NewtonConfig, NoConvergence, Params, SingularLinea
 from ehdsolitary.model import symmetrize
 from ehdsolitary.newton import DAMPING, MAX_ITER, MIN_STEP
 from ehdsolitary.spectral import (
-    cosine_basis,
     cosine_coefficients,
     ddx,
     dtn,
     values_from_cosine,
 )
 from ehdsolitary.system import NonFiniteTrace, _require_finite
+from helpers import cosine_basis
 
 
 def three_component_residual(t1, t2, t3, p: Params, g: Grid):
