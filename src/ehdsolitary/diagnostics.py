@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import WaveSolution, symmetry_error
 from .spectral import _cosh_ratio, conjugate_primitive, ddx, dtn, harmonic_fields
-from .system import (INTERIOR_LEVELS, SurfaceState, eliminated_t2, lambda_min,
+from .system import (INTERIOR_LEVELS, SurfaceState, _lambda_of_fields, eliminated_t2,
                      surface_gradient_bounds)
 
 FLOW_FORCE_PAD = 2          # zero-padding factor of the flow-force integrand
@@ -27,12 +27,11 @@ class DegenerateJacobian(ArithmeticError):
     """|grad eta|^2 fell below 1e-14 somewhere; field formulas are unusable."""
 
 
-def _surface_fields(sol: WaveSolution):
+def _surface_fields(state: SurfaceState):
     """((eta_x, eta_y), (u, v, e1, e2)) on the surface.  eta_x, eta_y, zeta_y
     and |grad eta|^2 come from the solution's SurfaceState; only
     zeta_x = ddx(t2) is transformed here."""
-    p, g, t1 = sol.params, sol.grid, sol.t1
-    state = SurfaceState(t1, p, g)
+    p, g, t1 = state.params, state.grid, state.t1
     gradsq = state.gradsq
     if np.min(gradsq) < 1e-14:
         raise DegenerateJacobian(
@@ -53,15 +52,19 @@ def gamma_field_arrays(sol: WaveSolution):
     With the electric potential equal to the vertical coordinate in conformal
     variables, e1 = -eta_x/|grad eta|^2 and e2 = eta_y/|grad eta|^2.
     """
-    return _surface_fields(sol)[1]
+    return _surface_fields(SurfaceState(sol.t1, sol.params, sol.grid))[1]
 
 
 def bernoulli_field_residual(sol: WaveSolution) -> float:
     """Sup-norm of u^2 + v^2 + eps1(e1^2 + e2^2) + 2 alpha (eta - 1) - (1 + eps1)
     on the surface, recomputed through the field formulas as a redundancy
     check on the solver residual."""
+    return _bernoulli_field_residual(sol, gamma_field_arrays(sol))
+
+
+def _bernoulli_field_residual(sol: WaveSolution, fields) -> float:
     p = sol.params
-    u, v, e1, e2 = gamma_field_arrays(sol)
+    u, v, e1, e2 = fields
     res = (u * u + v * v + p.eps1 * (e1 * e1 + e2 * e2)
            + 2.0 * p.alpha * sol.t1 - (1.0 + p.eps1))
     return float(np.max(np.abs(res)))
@@ -70,7 +73,12 @@ def bernoulli_field_residual(sol: WaveSolution) -> float:
 def kinematic_residual(sol: WaveSolution) -> float:
     """Sup-norm of the two surface orthogonality identities
     u eta_x - v eta_y and e1 eta_y + e2 eta_x."""
-    (eta_x, eta_y), (u, v, e1, e2) = _surface_fields(sol)
+    state = SurfaceState(sol.t1, sol.params, sol.grid)
+    return _kinematic_residual(_surface_fields(state))
+
+
+def _kinematic_residual(surface) -> float:
+    (eta_x, eta_y), (u, v, e1, e2) = surface
     r1 = u * eta_x - v * eta_y
     r2 = e1 * eta_y + e2 * eta_x
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
@@ -79,7 +87,11 @@ def kinematic_residual(sol: WaveSolution) -> float:
 def asymptotic_field_deviation(sol: WaveSolution) -> float:
     """Max of |u-1| + |v| + |e1| + |e2-1| over the outer 10% of the surface;
     should be of the order of the decay tail."""
-    u, v, e1, e2 = gamma_field_arrays(sol)
+    return _asymptotic_field_deviation(sol, gamma_field_arrays(sol))
+
+
+def _asymptotic_field_deviation(sol: WaveSolution, fields) -> float:
+    u, v, e1, e2 = fields
     outer = np.abs(sol.grid.x) >= 0.9 * sol.grid.half_length
     dev = np.abs(u - 1.0) + np.abs(v) + np.abs(e1) + np.abs(e2 - 1.0)
     return float(np.max(dev[outer]))
@@ -209,6 +221,16 @@ def nodal_check(sol: WaveSolution, tail_floor: float = 1e-8) -> NodalReport:
     On well-resolved waves that floor sits at rounding level, i.e. the check
     is the strict sign test.
     """
+    return _nodal_check(sol, tail_floor, _level_fields(sol)[1])
+
+
+def _level_fields(sol: WaveSolution):
+    """harmonic_fields of the solution at y = 1 and the INTERIOR_LEVELS."""
+    return harmonic_fields(sol.t1, sol.grid, (1.0,) + INTERIOR_LEVELS)
+
+
+def _nodal_check(sol: WaveSolution, tail_floor: float, slopes) -> NodalReport:
+    """nodal_check with the slopes w_x at y = 1 and the INTERIOR_LEVELS given."""
     g, t1 = sol.grid, sol.t1
     x = g.x
     above = (x > 0) & (np.abs(t1) > tail_floor)
@@ -218,7 +240,6 @@ def nodal_check(sol: WaveSolution, tail_floor: float = 1e-8) -> NodalReport:
     window = (x > 0) & (x < x_tail)
 
     heights = (1.0,) + INTERIOR_LEVELS
-    slopes = harmonic_fields(t1, g, heights)[1]
     t1x = slopes[0]
     coeffs = np.fft.rfft(t1x)
     coeffs[: int(0.8 * len(coeffs))] = 0.0
@@ -335,13 +356,20 @@ def prop65_check(sol: WaveSolution) -> BoundsReport:
     the stream bound collapses to an equality for zero vorticity; both are
     reported as degenerate-equality rather than failure.
     """
-    p, g, t1 = sol.params, sol.grid, sol.t1
+    return _prop65_check(sol, SurfaceState(sol.t1, sol.params, sol.grid),
+                         _level_fields(sol))
+
+
+def _prop65_check(sol: WaveSolution, state: SurfaceState, fields) -> BoundsReport:
+    """prop65_check from the solution's state and its fields at y = 1 and
+    the INTERIOR_LEVELS."""
+    p = sol.params
     # potential derivative: exactly 1 by construction
     checks = [BoundCheck(name="theta_y vs 1", status="degenerate-equality",
                          worst_margin=0.0)]
 
     # psi_y = zeta_y + gamma eta eta_y is the state's stream factor
-    psi_y = SurfaceState(t1, p, g).stream
+    psi_y = state.stream
 
     if p.gamma <= 0:
         bound = 1.0 - 0.5 * p.gamma
@@ -354,7 +382,7 @@ def prop65_check(sol: WaveSolution) -> BoundsReport:
                                  worst_margin=worst))
 
     if p.gamma >= 0:
-        _, gx, gy = harmonic_fields(t1, g, (1.0,) + INTERIOR_LEVELS)
+        _, gx, gy = fields
         grad_inf = float(np.min(gx ** 2 + (1.0 + gy) ** 2))
         bound = min(2.0 - p.gamma + 2.0 * p.eps1, p.gamma * grad_inf)
         worst = float(np.min(psi_y - bound))
@@ -369,12 +397,16 @@ def prop65_check(sol: WaveSolution) -> BoundsReport:
 
 def full_report(sol: WaveSolution) -> dict:
     """Every check on one solution, as a JSON-friendly nested dict.  Used by
-    the diagnose command; hard invariants carry an 'ok' flag."""
+    the diagnose command; hard invariants carry an 'ok' flag.  The
+    solution's SurfaceState, its velocity and electric fields, and the fields
+    at y = 1 and the INTERIOR_LEVELS are each evaluated once and shared by
+    the checks."""
     p, g = sol.params, sol.grid
     state = SurfaceState(sol.t1, p, g)
     rnorm = float(np.max(np.abs(state.residual)))
     sym = symmetry_error(sol.t1)
-    lam = lambda_min(sol.t1, p, g)
+    fields = _level_fields(sol)
+    lam = _lambda_of_fields(*fields, p)
     m1, m2, m3 = surface_gradient_bounds(state, p, g)
     nontrivial = float(np.max(np.abs(sol.t1))) > 1e-12
 
@@ -387,12 +419,14 @@ def full_report(sol: WaveSolution) -> dict:
 
     flux = flux_identity_check(sol)
     flux_budget = max(1e-4, 10.0 * sol.tail)
-    nodal = nodal_check(sol)    # tail floor 10 x the branch's default tail_tol
-    bounds = prop65_check(sol)
+    # tail floor 10 x the branch's default tail_tol
+    nodal = _nodal_check(sol, 1e-8, fields[1])
+    bounds = _prop65_check(sol, state, fields)
     profile = physical_profile(sol)
-    bern = bernoulli_field_residual(sol)
-    kin = kinematic_residual(sol)
-    asym = asymptotic_field_deviation(sol)
+    surface = _surface_fields(state)
+    bern = _bernoulli_field_residual(sol, surface[1])
+    kin = _kinematic_residual(surface)
+    asym = _asymptotic_field_deviation(sol, surface[1])
     asym_budget = max(10.0 * sol.tail, 1e-9)
 
     return {

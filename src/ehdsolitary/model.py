@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -131,6 +132,17 @@ class Grid:
         """spectral._cosine_weights: rfft real parts to cosine coefficients."""
         from .spectral import _cosine_weights
         return _read_only(_cosine_weights(self))
+
+    @cached_property
+    def level_symbols(self):
+        """spectral._level_multipliers at each of spectral.CACHED_LEVELS, a
+        read-only mapping from the height y to the pair (sinh(k y)/sinh k,
+        k cosh(k y)/sinh k); at y = 1 the pair is (1, dtn_symbol).  Other
+        heights are not cached."""
+        from .spectral import CACHED_LEVELS, _level_multipliers
+        return MappingProxyType({
+            y: tuple(_read_only(m) for m in _level_multipliers(self, y))
+            for y in CACHED_LEVELS})
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

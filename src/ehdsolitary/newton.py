@@ -17,10 +17,11 @@ basis traces.  The GMRES preconditioner freezes J's principal coefficient:
 a pointwise factor in x-space, then the uniform-stream multiplier; GMRES
 gives up after KRYLOV_MAXITER restarts, so a stagnating solve fails fast.
 
-Each accepted iterate is one SurfaceState, the one its residual came from.
-The state is handed to the dense assembly, the preconditioner and every
-GMRES matvec, so none of them re-derives the base fields of the iterate,
-and the converged state gives the solution's residual.
+Each damped candidate is one SurfaceState, which gives both its lambda and
+its residual; an accepted candidate's state is handed to the dense
+assembly, the preconditioner and every GMRES matvec, so none of them
+re-derives the base fields of the iterate, and the converged state gives
+the solution's residual.
 """
 from __future__ import annotations
 
@@ -305,15 +306,18 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
                 cand = symmetrize(t + step * dt)
                 if not np.all(np.isfinite(cand)):
                     raise NonFiniteTrace("candidate iterate")
-                p_c = replace(p, alpha=alpha) if 0.0 < alpha < p.alpha_cr else None
-                if p_c is None or lambda_min(cand, p_c, g) <= 0:
+                if not 0.0 < alpha < p.alpha_cr:
                     step *= DAMPING
                     continue
-                saw_admissible = True
+                p_c = replace(p, alpha=alpha)
                 state_c = SurfaceState(cand, p_c, g)
             except NonFiniteTrace:
                 step *= DAMPING
                 continue
+            if state_c.lambda_min <= 0:
+                step *= DAMPING
+                continue
+            saw_admissible = True
             n_c = arclength_row(cand, alpha)
             normc = max(float(np.max(np.abs(state_c.residual))), abs(n_c))
             if normc < norm:

@@ -15,6 +15,10 @@ import numpy as np
 from .model import Grid
 
 CONJUGATE_MEAN_TOL = 1e-3   # conjugate_primitive warns above this input mean
+# Heights inside the strip where the pointwise checks sample, besides y = 1.
+INTERIOR_LEVELS = (0.25, 0.5, 0.75)
+# Heights whose interior multipliers are cached on Grid (Grid.level_symbols).
+CACHED_LEVELS = (1.0,) + INTERIOR_LEVELS
 
 
 def _check_trace(t: np.ndarray, g: Grid) -> np.ndarray:
@@ -87,15 +91,18 @@ def dtn(t: np.ndarray, g: Grid) -> np.ndarray:
     return _apply_multiplier(t, g.dtn_symbol)
 
 
-def surface_gradient(t: np.ndarray, g: Grid):
-    """(ddx(t), dtn(t)), the gradient of the harmonic extension on the
-    surface, from one forward transform; each equals the separate call
-    exactly."""
-    t = _check_trace(t, g)
-    c = np.fft.rfft(t, axis=-1)
-    n = g.n_points
-    return (np.fft.irfft(c * g.ddx_symbol, n=n, axis=-1),
-            np.fft.irfft(c * g.dtn_symbol, n=n, axis=-1))
+def surface_fields(rows: np.ndarray, g: Grid):
+    """The spectra of the traces stacked on the first axis of rows, from one
+    forward transform, and, from one inverse transform, ddx of rows[0]
+    followed by dtn of every row.
+
+    A row may itself be a batch of traces.  Each output row equals the
+    separate ddx or dtn call exactly.
+    """
+    rows = _check_trace(rows, g)
+    c = np.fft.rfft(rows, axis=-1)
+    spectra = np.concatenate([c[:1] * g.ddx_symbol, c * g.dtn_symbol])
+    return c, np.fft.irfft(spectra, n=g.n_points, axis=-1)
 
 
 def _check_height(y: float) -> float:
@@ -113,26 +120,44 @@ def eval_interior(t: np.ndarray, g: Grid, y: float) -> np.ndarray:
     return _apply_multiplier(_check_trace(t, g), _sinh_ratio(g.wavenumbers, y))
 
 
+def _level_multipliers(g: Grid, y: float):
+    """(sinh(k y)/sinh k, k cosh(k y)/sinh k) on g's wavenumbers, exactly
+    (1, g.dtn_symbol) at y = 1."""
+    k = g.wavenumbers
+    if y == 1.0:
+        return np.ones_like(k), g.dtn_symbol
+    return _sinh_ratio(k, y), _cosh_ratio(k, y)
+
+
 def harmonic_fields(t: np.ndarray, g: Grid, ys):
     """The harmonic extension w of t and its derivatives w_x, w_y at each
     height y of ys in [0, 1], each of shape (len(ys),) + t.shape, from one
-    forward transform of t.
+    forward and one inverse transform.
 
     t may be a batch of traces on its leading axes.  The row at y = 1 is
-    exactly t, ddx(t) and dtn(t).
+    exactly t, ddx(t) and dtn(t).  The multipliers at CACHED_LEVELS are read
+    from the grid; those at any other height are built per call.
     """
     t = _check_trace(t, g)
     ys = [_check_height(y) for y in ys]
-    k, n = g.wavenumbers, g.n_points
-    c = np.fft.rfft(t, axis=-1)
+    return _fields_from_spectrum(np.fft.rfft(t, axis=-1), t, g, ys)
+
+
+def _fields_from_spectrum(c: np.ndarray, t: np.ndarray, g: Grid, ys):
+    """harmonic_fields of t from its spectrum c, every transformed row in one
+    stacked inverse transform."""
     cx = c * g.ddx_symbol
-    w, w_x, w_y = (np.empty((len(ys),) + t.shape) for _ in range(3))
+    mults = [g.level_symbols.get(y) or _level_multipliers(g, y) for y in ys]
+    interior = [sinh for y, (sinh, _) in zip(ys, mults) if y != 1.0]
+    rows = np.fft.irfft(np.stack([c * sinh for sinh in interior]
+                                 + [cx * sinh for sinh, _ in mults]
+                                 + [c * cosh for _, cosh in mults]),
+                        n=g.n_points, axis=-1)
+    inner, w_x, w_y = np.split(rows, [len(interior), len(interior) + len(ys)])
+    w = np.empty((len(ys),) + t.shape)
+    inner = iter(inner)
     for i, y in enumerate(ys):
-        sinh_y = _sinh_ratio(k, y)          # exactly 1 at y = 1
-        w[i] = t if y == 1.0 else np.fft.irfft(c * sinh_y, n=n, axis=-1)
-        w_x[i] = np.fft.irfft(cx * sinh_y, n=n, axis=-1)
-        cosh_y = g.dtn_symbol if y == 1.0 else _cosh_ratio(k, y)
-        w_y[i] = np.fft.irfft(c * cosh_y, n=n, axis=-1)
+        w[i] = t if y == 1.0 else next(inner)
     return w, w_x, w_y
 
 

@@ -8,10 +8,10 @@ electric potential problem is solved exactly by the linear profile, so t3
 and its normal derivative vanish identically.  The three-component form,
 which keeps both as unknowns, is a test oracle (tests/three_component.py).
 
-SurfaceState holds the surface fields of one iterate, its residual and the
-pointwise coefficients of the linearization, so that the residual, the alpha
-derivative and every Jacobian application at that iterate share one
-evaluation of the base state.
+SurfaceState holds the surface fields of one iterate, its residual, its
+admissibility quantity lambda and the pointwise coefficients of the
+linearization, so that the residual, lambda, the alpha derivative and every
+Jacobian application at that iterate share one evaluation of the base state.
 """
 from __future__ import annotations
 
@@ -21,10 +21,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .model import Grid, Params
-from .spectral import dtn, dtn_multiplier, harmonic_fields, surface_gradient
-
-# Heights inside the strip where the pointwise checks sample, besides y = 1.
-INTERIOR_LEVELS = (0.25, 0.5, 0.75)
+from .spectral import (INTERIOR_LEVELS, _fields_from_spectrum, dtn_multiplier,
+                       surface_fields)
 
 
 class NonFiniteTrace(ArithmeticError):
@@ -43,21 +41,23 @@ def eliminated_t2(t1: np.ndarray, p: Params) -> np.ndarray:
 
 class SurfaceState:
     """The surface fields of one iterate (t1, alpha) and its Bernoulli
-    residual, from two forward transforms: one of t1, one of t2.
+    residual, from one stacked forward transform of (t1, t2) and one stacked
+    inverse transform.
 
     w1x = ddx(t1), w1y = dtn(t1), w2y = dtn(t2) with t2 = eliminated_t2(t1);
     stream = gamma (t1 + w1y + t1 w1y) + w2y + 1, gradsq = w1x^2 + (1 + w1y)^2
     and stag = 1 + eps1 - 2 alpha t1.  The residual is checked finite on
-    construction.  A Newton iterate builds one state, and every application
-    of its linearization (jacobian_apply) reads the state instead of
-    re-deriving the fields.
+    construction.  A Newton iterate builds one state, and its lambda and
+    every application of its linearization (jacobian_apply) read the state
+    instead of re-deriving the fields.
     """
 
     def __init__(self, t1: np.ndarray, p: Params, g: Grid):
         t1 = np.asarray(t1, dtype=float)
         self.t1, self.params, self.grid = t1, p, g
-        self.w1x, self.w1y = surface_gradient(t1, g)
-        self.w2y = dtn(eliminated_t2(t1, p), g)
+        c, (self.w1x, self.w1y, self.w2y) = surface_fields(
+            np.stack([t1, eliminated_t2(t1, p)]), g)
+        self._t1_spectrum = c[0]
         self.stream = p.gamma * (t1 + self.w1y + t1 * self.w1y) + self.w2y + 1.0
         self.gradsq = self.w1x * self.w1x + (1.0 + self.w1y) ** 2
         self.stag = 1.0 + p.eps1 - 2.0 * p.alpha * t1
@@ -74,6 +74,13 @@ class SurfaceState:
         if base.params != p or base.grid is not g:
             raise ValueError("state was built for other parameters or another grid")
         return base
+
+    @cached_property
+    def lambda_min(self) -> float:
+        """The admissibility quantity (module lambda_min) of t1; the interior
+        rows are one inverse transform of the kept spectrum of t1."""
+        return _lambda_min(self.t1, self._t1_spectrum, self.w1x, self.w1y,
+                           self.params, self.grid)
 
     @property
     def alpha_derivative(self) -> np.ndarray:
@@ -104,12 +111,17 @@ def jacobian_apply(base, dt: np.ndarray, p: Params, g: Grid) -> np.ndarray:
     base is a trace t1 or the SurfaceState built from it with the same p and
     g; a state is reused as is.  Linear in dt; at t1 = 0 its action on
     cos(kx) is the scalar multiplier linear_multiplier(k) times cos(kx).  dt
-    may be a batch (m, N).
+    may be a batch (m, N).  One stacked forward and one stacked inverse
+    transform; at gamma = 0 the term a3 dtn(a4 dt) is skipped, because
+    a4 = -gamma (1 + t1) is exactly zero there.
     """
     a0, a1, a2, a3, a4 = SurfaceState.of(base, p, g).coefficients
     dt = np.asarray(dt, dtype=float)
-    d1, h1 = surface_gradient(dt, g)
-    out = a0 * dt + a1 * h1 + a2 * d1 + a3 * dtn(a4 * dt, g)
+    rows = dt[None] if p.gamma == 0.0 else np.stack([dt, a4 * dt])
+    _, (d1, h1, *h4) = surface_fields(rows, g)
+    out = a0 * dt + a1 * h1 + a2 * d1
+    if h4:
+        out = out + a3 * h4[0]
     _require_finite(out, "Jacobian application")
     return out
 
@@ -142,9 +154,26 @@ def dispersion_root(p: Params):
 
 def lambda_min(t1: np.ndarray, p: Params, g: Grid) -> float:
     """Admissibility quantity: inf of 4 (1 + eps1 - 2 alpha w1)^2 |grad eta|^2
-    sampled on the surface and at the INTERIOR_LEVELS heights."""
-    w1, w1x, w1y = harmonic_fields(t1, g, (1.0,) + INTERIOR_LEVELS)
-    val = 4.0 * (1.0 + p.eps1 - 2.0 * p.alpha * w1) ** 2 * (w1x ** 2 + (1.0 + w1y) ** 2)
+    sampled on the surface and at the INTERIOR_LEVELS heights; the same
+    value as SurfaceState(t1, p, g).lambda_min, without the residual."""
+    t1 = np.asarray(t1, dtype=float)
+    c, (w1x, w1y) = surface_fields(t1[None], g)
+    return _lambda_min(t1, c[0], w1x, w1y, p, g)
+
+
+def _lambda_min(t1, t1_spectrum, w1x, w1y, p: Params, g: Grid) -> float:
+    """lambda_min from the surface row (t1, w1x, w1y) and the INTERIOR_LEVELS
+    rows, which are one stacked inverse transform of t1's spectrum."""
+    interior = _fields_from_spectrum(t1_spectrum, t1, g, INTERIOR_LEVELS)
+    # np.min, unlike min, keeps a nan, which the Newton loop reads as "not > 0"
+    return float(np.min([_lambda_of_fields(t1, w1x, w1y, p),
+                         _lambda_of_fields(*interior, p)]))
+
+
+def _lambda_of_fields(w, w_x, w_y, p: Params) -> float:
+    """inf of 4 (1 + eps1 - 2 alpha w)^2 (w_x^2 + (1 + w_y)^2) over the
+    sampled harmonic extension w of t1 and its derivatives."""
+    val = 4.0 * (1.0 + p.eps1 - 2.0 * p.alpha * w) ** 2 * (w_x ** 2 + (1.0 + w_y) ** 2)
     return float(np.min(val))
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 
-from ehdsolitary.model import Grid, Params
+from ehdsolitary.model import BaseParams, Grid, Params, make_params
 from ehdsolitary.reduced_ode import OdeParams, _rk4_step
 from ehdsolitary.spectral import (_apply_multiplier, _check_height, _check_trace,
                                   _cosh_ratio, cosine_coefficients, ddx, dtn,
                                   harmonic_fields)
-from ehdsolitary.system import _require_finite, eliminated_t2, jacobian_apply
+from ehdsolitary.system import (INTERIOR_LEVELS, SurfaceState, _require_finite,
+                                eliminated_t2, jacobian_apply)
 
 
 def random_even_trace(g, rng, n_modes=12, scale=1.0, decay=0.5):
@@ -15,6 +16,21 @@ def random_even_trace(g, rng, n_modes=12, scale=1.0, decay=0.5):
     for n, c in enumerate(coeffs):
         t += c * np.cos(g.wavenumbers[n] * g.x)
     return t
+
+
+def count_transforms(monkeypatch):
+    """Counter of numpy.fft.rfft and numpy.fft.irfft calls from now on,
+    keyed by function name; counts only functions that were called."""
+    calls = {}
+    for name in ("rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
 
 
 def eval_interior_dy(t, g, y):
@@ -138,6 +154,24 @@ def reference_jacobian_apply(t1: np.ndarray, dt: np.ndarray, p: Params, g: Grid)
     out = 2.0 * stream * dstream + 2.0 * p.alpha * dt * gradsq - stag * dgradsq
     _require_finite(out, "Jacobian application")
     return out
+
+
+def reference_lambda_min(t1: np.ndarray, p: Params, g: Grid) -> float:
+    """Admissibility quantity: inf of 4 (1 + eps1 - 2 alpha w1)^2 |grad eta|^2
+    sampled on the surface and at the INTERIOR_LEVELS heights, from one
+    harmonic_fields evaluation: the oracle for SurfaceState.lambda_min and
+    system.lambda_min."""
+    w1, w1x, w1y = harmonic_fields(t1, g, (1.0,) + INTERIOR_LEVELS)
+    val = 4.0 * (1.0 + p.eps1 - 2.0 * p.alpha * w1) ** 2 * (w1x ** 2 + (1.0 + w1y) ** 2)
+    return float(np.min(val))
+
+
+def crest_state(g, gamma, eps1, height=0.3, alpha_ratio=0.8):
+    """SurfaceState of the even trace height sech^2(x / 2) plus a ripple, at
+    alpha = alpha_ratio * alpha_cr."""
+    t1 = height / np.cosh(0.5 * g.x) ** 2 * (1.0 + 0.1 * np.cos(3.0 * g.x))
+    p = make_params(gamma, eps1, alpha_ratio * BaseParams(gamma, eps1).alpha_cr)
+    return SurfaceState(t1, p, g)
 
 
 def cosine_basis(g: Grid) -> np.ndarray:

@@ -4,11 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ehdsolitary import diagnostics
 from ehdsolitary import (
     DegenerateJacobian,
     flow_force,
     flow_force_profile,
     flux_identity_check,
+    lambda_min,
     make_grid,
     make_params,
     nodal_check,
@@ -28,7 +30,7 @@ from ehdsolitary.io import load_solution
 from ehdsolitary.model import WaveSolution
 from ehdsolitary.newton import build_solution
 from ehdsolitary.spectral import dtn, dtn_multiplier, harmonic_fields
-from ehdsolitary.system import INTERIOR_LEVELS
+from ehdsolitary.system import INTERIOR_LEVELS, SurfaceState
 
 from helpers import reference_flow_force
 
@@ -317,6 +319,38 @@ class TestFullReport:
         bad_keys = hard_violations(rep)
         assert "residual_ok" in bad_keys
         assert "bernoulli_ok" in bad_keys
+
+    @pytest.mark.parametrize("wave", ["small_wave", "rotational_wave"])
+    def test_shared_evaluations(self, wave, request, monkeypatch):
+        # the checks share one SurfaceState, one ddx(t2) and one
+        # harmonic_fields call, and each gives the value of its public
+        # function
+        sol = request.getfixturevalue(wave)
+        calls = {"state": 0, "ddx": 0, "harmonic_fields": 0}
+        init = SurfaceState.__init__
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(SurfaceState, "__init__", counting("state", init))
+        for name in ("ddx", "harmonic_fields"):
+            monkeypatch.setattr(diagnostics, name, counting(name, getattr(diagnostics, name)))
+        rep = full_report(sol)
+        assert calls == {"state": 1, "ddx": 1, "harmonic_fields": 1}
+        monkeypatch.undo()
+        assert rep["lambda_min"] == lambda_min(sol.t1, sol.params, sol.grid)
+        assert rep["bernoulli_fields"] == bernoulli_field_residual(sol)
+        assert rep["kinematic"] == kinematic_residual(sol)
+        assert rep["asymptotic_fields"]["deviation"] == asymptotic_field_deviation(sol)
+        nodal = nodal_check(sol)
+        assert rep["nodal"] == {"passed": nodal.passed, "x_tail": nodal.x_tail,
+                                "violation_count": len(nodal.violations)}
+        assert rep["stream_potential_bounds"] == [
+            {"name": c.name, "status": c.status, "worst_margin": c.worst_margin}
+            for c in prop65_check(sol).checks]
 
 
 class TestLaminarDepthCrossCheck:

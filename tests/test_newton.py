@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from ehdsolitary.io import load_solution
 from ehdsolitary.model import symmetry_error
 from ehdsolitary.spectral import cosine_coefficients
 from ehdsolitary.system import residual
-from helpers import reference_dense_jacobian
+from helpers import crest_state, reference_dense_jacobian
 from three_component import newton_solve_three_component
 
 FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
@@ -182,6 +183,45 @@ class TestAdmissibleSet:
         with pytest.raises(LeftAdmissibleSet):
             newton_solve(t0, p, g, NewtonConfig())
 
+    def test_no_admissible_damped_step(self, setup, monkeypatch):
+        # an admissible start whose every damped candidate has lambda <= 0
+        from ehdsolitary import LeftAdmissibleSet
+        base, g = setup
+        t0, p = init_small(0.01, base, g)
+        assert system.lambda_min(t0, p, g) > 0
+        read = []
+
+        def zero_lambda(state):
+            read.append(state)
+            return 0.0
+
+        monkeypatch.setattr(system.SurfaceState, "lambda_min", property(zero_lambda))
+        with pytest.raises(LeftAdmissibleSet, match="no damped step"):
+            newton_solve(t0, p, g, NewtonConfig())
+        # steps 1, 1/2, ..., MIN_STEP were all tried and damped
+        assert len(read) == 1 - int(np.log2(newton.MIN_STEP))
+
+    def test_non_finite_candidate_residual_is_damped(self, setup, monkeypatch):
+        # the full step's residual is non-finite: the step is halved, and the
+        # solve converges as usual
+        base, g = setup
+        t0, p = init_small(0.01, base, g)
+        reference = newton_solve(t0, p, g, NewtonConfig())
+        residuals = []
+        require = system._require_finite
+
+        def failing_first_candidate(arr, label):
+            if label == "Bernoulli residual":
+                residuals.append(label)
+                if len(residuals) == 2:     # the initial iterate is first
+                    raise system.NonFiniteTrace("forced")
+            require(arr, label)
+
+        monkeypatch.setattr(system, "_require_finite", failing_first_candidate)
+        sol = newton_solve(t0, p, g, NewtonConfig())
+        assert sol.residual_norm <= NewtonConfig().tol
+        assert len(residuals) > len(reference.norm_history)
+
 
 class TestStateReuse:
     """The base state of an iterate is derived once: every matvec and the
@@ -205,14 +245,25 @@ class TestStateReuse:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Counters of SurfaceState constructions, Jacobian applications and
-        lambda_min results seen by newton."""
-        seen = {"states": 0, "matvecs": 0, "lambdas": []}
+        """Records of what newton sees: the SurfaceStates constructed, the
+        states whose lambda was read, the alpha-range passes (newton's
+        replace), Jacobian applications and module lambda_min results."""
+        seen = {"states": [], "lambda_reads": [], "alpha_passes": 0,
+                "matvecs": 0, "lambdas": []}
         init = system.SurfaceState.__init__
+        state_lambda = system.SurfaceState.lambda_min
 
         def counting_init(self, *args):
-            seen["states"] += 1
+            seen["states"].append(self)
             init(self, *args)
+
+        def reading_lambda(self):
+            seen["lambda_reads"].append(self)
+            return state_lambda.__get__(self, type(self))
+
+        def counting_replace(*args, **kwargs):
+            seen["alpha_passes"] += 1
+            return replace(*args, **kwargs)
 
         def counting_apply(*args):
             seen["matvecs"] += 1
@@ -223,6 +274,8 @@ class TestStateReuse:
             return seen["lambdas"][-1]
 
         monkeypatch.setattr(system.SurfaceState, "__init__", counting_init)
+        monkeypatch.setattr(system.SurfaceState, "lambda_min", property(reading_lambda))
+        monkeypatch.setattr(newton, "replace", counting_replace)
         monkeypatch.setattr(newton, "jacobian_apply", counting_apply)
         monkeypatch.setattr(newton, "lambda_min", recording_lambda)
         return seen
@@ -231,45 +284,56 @@ class TestStateReuse:
     def test_krylov_step_builds_no_state(self, stiff_state, counts, bordered):
         t1, p, g = stiff_state
         state = system.SurfaceState(t1, p, g)
-        counts["states"] = 0
+        counts["states"].clear()
         cfg = NewtonConfig(linear_solver="krylov")
         border = None
         if bordered:
             c = cosine_coefficients(t1, g)
             border = (cosine_coefficients(state.alpha_derivative, g), c, 1.0, 0.0)
         newton.solve_newton_step(state, state.residual, p, g, cfg, border=border)
-        assert counts["states"] == 0
+        assert counts["states"] == []
         assert counts["matvecs"] > 10
 
     def test_dense_step_builds_no_state(self, fixture_state, counts):
         p, g = fixture_state.params, fixture_state.grid
         t1 = self.perturbed(fixture_state.t1, g)
         state = system.SurfaceState(t1, p, g)
-        counts["states"] = 0
+        counts["states"].clear()
         newton.solve_newton_step(state, state.residual, p, g,
                                  NewtonConfig(linear_solver="dense"))
-        assert counts["states"] == 0
+        assert counts["states"] == []
         # the dense Jacobian is assembled from the state's coefficient
         # spectra, with no Jacobian application on basis traces
         assert counts["matvecs"] == 0
 
     def test_one_state_per_residual_evaluation(self, stiff_state, counts):
-        # newton_solve evaluates a residual on every trace whose lambda_min is
-        # positive (the initial iterate and each admissible candidate), and
-        # build_solution reads the converged state's residual
+        # newton_solve builds one state for the initial iterate and one for
+        # each damped candidate that passes the alpha-range test; the
+        # candidate's lambda is read off its state, so the module lambda_min
+        # runs only on the initial iterate, and build_solution reads the
+        # converged state's residual
         t1, p, g = stiff_state
         sol = newton_solve(t1, p, g, NewtonConfig())
         assert len(sol.norm_history) > 1
         assert counts["matvecs"] > 10
-        assert counts["states"] == sum(lam > 0 for lam in counts["lambdas"])
+        assert len(counts["lambdas"]) == 1 and counts["lambdas"][0] > 0
+        assert counts["alpha_passes"] >= len(sol.norm_history) - 1
+        assert len(counts["states"]) == 1 + counts["alpha_passes"]
+        assert counts["lambda_reads"] == counts["states"][1:]
 
-
-def crest_state(g, gamma, eps1, height=0.3, alpha_ratio=0.8):
-    """SurfaceState of the even trace height sech^2(x / 2) plus a ripple, at
-    alpha = alpha_ratio * alpha_cr."""
-    t1 = height / np.cosh(0.5 * g.x) ** 2 * (1.0 + 0.1 * np.cos(3.0 * g.x))
-    p = make_params(gamma, eps1, alpha_ratio * BaseParams(gamma, eps1).alpha_cr)
-    return system.SurfaceState(t1, p, g)
+    def test_one_state_per_corrector_candidate(self, counts):
+        # the dense pseudo-arclength corrector moves alpha, and still builds
+        # one state per candidate in the alpha range and reads its lambda once
+        g = make_grid(256.0, 512)
+        base = BaseParams(0.0, 0.5)
+        (t_a, p_a), (t_b, p_b) = (init_small(e, base, g) for e in (0.02, 0.03))
+        c = cosine_coefficients(t_b, g) - cosine_coefficients(t_a, g)
+        c_alpha = p_b.alpha - p_a.alpha
+        sol = newton_solve(t_b, p_b, g, NewtonConfig(), tangent=(c, c_alpha))
+        assert sol.params.alpha != p_b.alpha
+        assert len(counts["lambdas"]) == 1
+        assert len(counts["states"]) == 1 + counts["alpha_passes"]
+        assert counts["lambda_reads"] == counts["states"][1:]
 
 
 class TestDenseJacobian:

@@ -5,16 +5,20 @@ from hypothesis import strategies as st
 
 from ehdsolitary import conjugate_primitive, ddx, dtn, eval_interior, make_grid
 from ehdsolitary.spectral import (
+    CACHED_LEVELS,
+    _cosh_ratio,
     _cosine_weights,
     _ddx_multiplier,
+    _sinh_ratio,
     cosine_coefficients,
     dtn_multiplier,
     harmonic_fields,
-    surface_gradient,
+    surface_fields,
     values_from_cosine,
 )
+from ehdsolitary import spectral
 
-from helpers import cosine_basis, eval_interior_dy, random_even_trace
+from helpers import cosine_basis, count_transforms, eval_interior_dy, random_even_trace
 
 
 def fd6_derivative(values, h):
@@ -215,14 +219,27 @@ class TestHarmonicFields:
         assert np.array_equal(w_x[0], ddx(t, g))
         assert np.array_equal(w_y[0], dtn(t, g))
 
-    def test_surface_gradient_is_the_top_row(self):
+    def test_surface_fields_are_the_surface_operators(self, monkeypatch):
         g = make_grid(8.0, 64)
         rng = np.random.default_rng(10)
+        calls = count_transforms(monkeypatch)
         for t in (random_even_trace(g, rng),
                   np.stack([random_even_trace(g, rng) for _ in range(3)])):
-            t_x, t_y = surface_gradient(t, g)
+            rows = np.stack([t, 0.5 * t * t])
+            calls.clear()
+            c, (t_x, t_y, u_y) = surface_fields(rows, g)
+            assert calls == {"rfft": 1, "irfft": 1}
+            assert np.array_equal(c, np.fft.rfft(rows))
             assert np.array_equal(t_x, ddx(t, g))
             assert np.array_equal(t_y, dtn(t, g))
+            assert np.array_equal(u_y, dtn(0.5 * t * t, g))
+
+    def test_one_transform_each_way(self, monkeypatch):
+        g = make_grid(8.0, 64)
+        t = random_even_trace(g, np.random.default_rng(12))
+        calls = count_transforms(monkeypatch)
+        harmonic_fields(t, g, self.YS)
+        assert calls == {"rfft": 1, "irfft": 1}
 
     def test_interior_rows_match_eval_interior(self):
         g = make_grid(8.0, 64)
@@ -273,6 +290,63 @@ class TestGridSymbols:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 2.0
+
+
+class TestLevelSymbols:
+    """The interior multipliers cached on Grid: only the fixed heights, the
+    fresh values, built once per grid, read-only."""
+
+    def test_fixed_heights_only(self):
+        g = make_grid(7.5, 64)
+        assert CACHED_LEVELS == (1.0, 0.25, 0.5, 0.75)
+        assert tuple(g.level_symbols) == CACHED_LEVELS
+        harmonic_fields(np.zeros(64), g, (0.3, 0.0))
+        assert tuple(g.level_symbols) == CACHED_LEVELS
+
+    @pytest.mark.parametrize("n", [16, 1024])
+    def test_bit_equal_to_fresh_multipliers(self, n):
+        g = make_grid(7.5, n)
+        k = g.wavenumbers
+        for y in CACHED_LEVELS[1:]:
+            sinh, cosh = g.level_symbols[y]
+            assert np.array_equal(sinh, _sinh_ratio(k, y))
+            assert np.array_equal(cosh, _cosh_ratio(k, y))
+        sinh, cosh = g.level_symbols[1.0]
+        assert np.array_equal(sinh, _sinh_ratio(k, 1.0))
+        assert np.all(sinh == 1.0)
+        assert cosh is g.dtn_symbol
+
+    def test_built_once_per_grid(self, monkeypatch):
+        built = []
+        original = spectral._sinh_ratio
+
+        def counting(k, y):
+            built.append(y)
+            return original(k, y)
+
+        monkeypatch.setattr(spectral, "_sinh_ratio", counting)
+        g = make_grid(7.5, 64)
+        t = random_even_trace(g, np.random.default_rng(13))
+        for _ in range(3):
+            harmonic_fields(t, g, CACHED_LEVELS)
+        assert g.level_symbols is g.level_symbols
+        assert sorted(built) == [0.25, 0.5, 0.75]
+        # any other height is built per call
+        for _ in range(2):
+            harmonic_fields(t, g, (0.3,))
+        assert built.count(0.3) == 2
+        make_grid(7.5, 64).level_symbols
+        assert len(built) == 8
+
+    def test_read_only(self):
+        g = make_grid(7.5, 64)
+        with pytest.raises(TypeError):
+            g.level_symbols[0.3] = g.level_symbols[0.5]
+        for pair in g.level_symbols.values():
+            for arr in pair:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 2.0
 
 
 class TestConjugatePrimitive:

@@ -10,12 +10,15 @@ from ehdsolitary import (
     make_params,
     residual,
 )
-from ehdsolitary.spectral import dtn, dtn_multiplier
+from ehdsolitary.spectral import ddx, dtn, dtn_multiplier
 from ehdsolitary.system import NonFiniteTrace, SurfaceState, eliminated_t2
 from helpers import (
+    count_transforms,
+    crest_state,
     random_even_trace,
     reference_alpha_derivative,
     reference_jacobian_apply,
+    reference_lambda_min,
     reference_residual,
 )
 
@@ -257,3 +260,65 @@ class TestLambdaMin:
         assert deviations[0] > deviations[1] > deviations[2]
         # O(eps): halving eps roughly halves the deviation
         assert deviations[0] / deviations[2] > 2.5
+
+    @pytest.mark.parametrize("eps1", [0.0, 0.5])
+    @pytest.mark.parametrize("gamma", [-0.3, 0.0, 0.4])
+    @pytest.mark.parametrize("n,half_length", [(16, 8.0), (1024, 64.0)])
+    def test_state_and_module_equal_the_oracle(self, gamma, eps1, n, half_length):
+        g = make_grid(half_length, n)
+        state = crest_state(g, gamma, eps1)
+        p = state.params
+        expected = reference_lambda_min(state.t1, p, g)
+        assert state.lambda_min == expected
+        assert lambda_min(state.t1, p, g) == expected
+
+    def test_non_finite_trace_gives_nan(self):
+        # no NonFiniteTrace: the Newton loop reads nan as "not > 0"
+        g = make_grid(8.0, 32)
+        t1 = np.zeros(32)
+        t1[3] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(lambda_min(t1, make_params(0.0, 0.5, 1.0), g))
+
+
+class TestTransformCounts:
+    """numpy.fft calls per evaluation: stacked rows, one call each way."""
+
+    G = make_grid(64.0, 1024)
+
+    def test_state_and_its_lambda(self, monkeypatch):
+        calls = count_transforms(monkeypatch)
+        state = crest_state(self.G, 0.4, 0.5)
+        assert calls == {"rfft": 1, "irfft": 1}
+        state.lambda_min
+        state.lambda_min
+        assert calls == {"rfft": 1, "irfft": 2}
+
+    def test_module_lambda_min(self, monkeypatch):
+        state = crest_state(self.G, 0.4, 0.5)
+        calls = count_transforms(monkeypatch)
+        lambda_min(state.t1, state.params, self.G)
+        assert calls == {"rfft": 1, "irfft": 2}
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.3, 0.4])
+    def test_jacobian_apply(self, monkeypatch, gamma):
+        state = crest_state(self.G, gamma, 0.5)
+        state.coefficients
+        dt = random_even_trace(self.G, np.random.default_rng(14))
+        calls = count_transforms(monkeypatch)
+        jacobian_apply(state, dt, state.params, self.G)
+        assert calls == {"rfft": 1, "irfft": 1}
+
+
+class TestJacobianSkipAtZeroGamma:
+    @pytest.mark.parametrize("eps1", [0.0, 0.5])
+    def test_equals_the_unskipped_form(self, eps1):
+        g = make_grid(64.0, 1024)
+        state = crest_state(g, 0.0, eps1)
+        rng = np.random.default_rng(15)
+        for dt in (random_even_trace(g, rng),
+                   np.stack([random_even_trace(g, rng) for _ in range(3)])):
+            a0, a1, a2, a3, a4 = state.coefficients
+            assert not np.any(a4)
+            full = a0 * dt + a1 * dtn(dt, g) + a2 * ddx(dt, g) + a3 * dtn(a4 * dt, g)
+            assert np.array_equal(jacobian_apply(state, dt, state.params, g), full)
