@@ -44,38 +44,65 @@ EXIT_NO_CONVERGENCE = 3
 FIG4_LAUNCHES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 
 
+# Each subcommand's numeric settings, dest -> (type, default); the command
+# derives a None default.  This one table gives the flags (--dest, its
+# underscores written as dashes), the keys a --config file may set and the
+# type each value is read with, the defaults, and the resolved values each
+# run records as its run_config.
+_PARAMS = {"gamma": (float, 0.0), "eps1": (float, 0.5)}
+_GRID = {"half_length": (float, None), "n_points": (int, 1024),
+         "tol": (float, 1e-11)}
+SETTINGS = {
+    "dispersion": {**_PARAMS, "alpha": (float, None)},
+    "solve": {**_PARAMS, "eps": (float, None), "alpha": (float, None), **_GRID},
+    "continue": {**_PARAMS, "eps_start": (float, 1e-3), "max_points": (int, 500),
+                 **_GRID, "store_every": (int, 10)},
+    "diagnose": {},
+    "conjugate": {**_PARAMS, "alpha": (float, None)},
+    "ode": {"gamma": (float, 0.0), "eps1": (float, 0.0), "dt": (float, 1e-3),
+            "x_max": (float, 20.0)},
+}
+# besides its flags, a continue config may set the stop thresholds
+CONTINUE_THRESHOLDS = tuple(f.name for f in dataclasses.fields(ContinuationConfig)
+                            if f.name not in ("eps_start", "max_points", "newton"))
+
+
 def _auto_half_length(eps: float, eps1: float) -> float:
     """Box half-length comfortably holding the localized initializer."""
     required = initializer_decay(eps, BaseParams(0.0, eps1))[1]
     return float(np.ceil(required * 1.25 / 32.0) * 32.0)
 
 
-def _load_config(args, extra=()):
-    """The subcommand's numeric settings: each flag as given, else as the
-    --config file sets it.  The file holds a JSON object whose keys are the
-    numeric flags, each value read by the flag's type from its text as on
-    the command line, and extra, read as floats; any other key (a typo or a
-    retired setting) or unreadable value is a validation error."""
-    flags = {key: getattr(args, key) for key in args.config_types
-             if getattr(args, key) is not None}
-    if args.config is None:
-        return flags
-    with open(args.config) as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValidationError("config", "configuration file must hold a JSON object")
-    types = {**args.config_types, **dict.fromkeys(extra, float)}
-    unknown = sorted(set(obj) - set(types))
-    if unknown:
-        raise ValidationError("config", f"unknown key(s) {', '.join(unknown)} "
-                              f"for {args.command}")
-    for key, value in obj.items():
-        try:
-            obj[key] = types[key](str(value))
-        except ValueError:
-            raise ValidationError(key, f"config value {value!r} cannot be "
-                                  f"read as {types[key].__name__}") from None
-    return {**obj, **flags}
+def _settings(args, extra=()):
+    """The subcommand's run_config: its command and its SETTINGS, each as
+    the flag gives it, else as the --config file sets it, else the default.
+    The file holds a JSON object whose keys are the subcommand's settings,
+    each value read by its type from its text as on the command line, and
+    extra, read as floats; any other key (a typo or a retired setting) or
+    unreadable value is a validation error."""
+    table = SETTINGS[args.command]
+    run_config = {"command": args.command,
+                  **{key: default for key, (_, default) in table.items()}}
+    if args.config is not None:
+        with open(args.config) as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValidationError("config", "configuration file must hold a JSON object")
+        types = {**{key: type_ for key, (type_, _) in table.items()},
+                 **dict.fromkeys(extra, float)}
+        unknown = sorted(set(obj) - set(types))
+        if unknown:
+            raise ValidationError("config", f"unknown key(s) {', '.join(unknown)} "
+                                  f"for {args.command}")
+        for key, value in obj.items():
+            try:
+                run_config[key] = types[key](str(value))
+            except ValueError:
+                raise ValidationError(key, f"config value {value!r} cannot be "
+                                      f"read as {types[key].__name__}") from None
+    run_config.update((key, getattr(args, key)) for key in table
+                      if getattr(args, key) is not None)
+    return run_config
 
 
 def _write_report(out_dir, name, payload, fmt, run_config):
@@ -92,16 +119,12 @@ def _write_report(out_dir, name, payload, fmt, run_config):
 
 
 def cmd_dispersion(args) -> int:
-    config = _load_config(args)
-    gamma = config.get("gamma", 0.0)
-    eps1 = config.get("eps1", 0.5)
-    alpha = config.get("alpha")
+    run_config = _settings(args)
+    gamma, eps1, alpha = (run_config[k] for k in ("gamma", "eps1", "alpha"))
     if alpha is None:
         print("dispersion: --alpha is required", file=sys.stderr)
         return EXIT_VALIDATION
     p = make_params(gamma, eps1, alpha)
-    run_config = {"command": "dispersion", "gamma": gamma, "eps1": eps1,
-                  "alpha": alpha}
 
     ks = np.linspace(0.0, 5.0, 26)
     ms = linear_multiplier(ks, p)
@@ -127,37 +150,22 @@ def cmd_dispersion(args) -> int:
     return EXIT_OK
 
 
-def _solve_common(config):
-    gamma = config.get("gamma", 0.0)
-    eps1 = config.get("eps1", 0.5)
-    alpha = config.get("alpha")
-    eps = config.get("eps")
-    base = BaseParams(gamma, eps1)
+def cmd_solve(args) -> int:
+    run_config = _settings(args)
+    base = BaseParams(run_config["gamma"], run_config["eps1"])
+    alpha, eps = run_config["alpha"], run_config["eps"]
     if (alpha is None) == (eps is None):
         raise ValidationError("alpha", "pass exactly one of --alpha or --eps")
     if eps is None:
         eps = base.alpha_cr - alpha
         if eps <= 0:
             raise ValidationError("alpha", "alpha must lie below alpha_cr")
-    half_length = config.get("half_length")
-    if half_length is None:
-        half_length = _auto_half_length(eps, eps1)
-    n_points = config.get("n_points", 1024)
-    tol = config.get("tol", 1e-11)
-    g = make_grid(half_length, n_points)
-    return base, eps, g, tol
-
-
-def cmd_solve(args) -> int:
-    config = _load_config(args)
-    base, eps, g, tol = _solve_common(config)
-    run_config = {"command": "solve", "gamma": base.gamma, "eps1": base.eps1,
-                  "eps": eps, "alpha": base.alpha_cr - eps,
-                  "half_length": g.half_length, "n_points": g.n_points,
-                  "tol": tol}
+    if run_config["half_length"] is None:
+        run_config["half_length"] = _auto_half_length(eps, base.eps1)
+    g = make_grid(run_config["half_length"], run_config["n_points"])
+    run_config.update(eps=eps, alpha=base.alpha_cr - eps)
     t_init, p = init_small(eps, base, g)
-    ncfg = NewtonConfig(tol=tol)
-    sol = newton_solve(t_init, p, g, ncfg)
+    sol = newton_solve(t_init, p, g, NewtonConfig(tol=run_config["tol"]))
     print(f"converged: alpha={p.alpha:.12g} amplitude={sol.amplitude:.10e} "
           f"residual={sol.residual_norm:.3e} tail={sol.tail:.3e} "
           f"iterations={len(sol.norm_history) - 1}")
@@ -173,30 +181,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_continue(args) -> int:
-    # besides its flags, a continue config may set the stop thresholds
-    thresholds = {f.name for f in dataclasses.fields(ContinuationConfig)} \
-        - {"eps_start", "max_points", "newton"}
-    config = _load_config(args, thresholds)
-    gamma = config.get("gamma", 0.0)
-    eps1 = config.get("eps1", 0.5)
-    eps_start = config.get("eps_start", 1e-3)
-    max_points = config.get("max_points", 500)
-    half_length = config.get("half_length")
-    if half_length is None:
-        half_length = _auto_half_length(eps_start, eps1)
-    n_points = config.get("n_points", 1024)
-    tol = config.get("tol", 1e-11)
-    store_every = config.get("store_every", 10)
-
-    base = BaseParams(gamma, eps1)
-    g = make_grid(half_length, n_points)
-    extra = {k: config[k] for k in config if k in thresholds}
-    cfg = ContinuationConfig(eps_start=eps_start, max_points=max_points,
-                             newton=NewtonConfig(tol=tol), **extra)
-    run_config = {"command": "continue", "gamma": gamma, "eps1": eps1,
-                  "eps_start": eps_start, "max_points": max_points,
-                  "half_length": half_length, "n_points": n_points,
-                  "tol": tol, "store_every": store_every, **extra}
+    run_config = _settings(args, CONTINUE_THRESHOLDS)
+    if run_config["half_length"] is None:
+        run_config["half_length"] = _auto_half_length(run_config["eps_start"],
+                                                      run_config["eps1"])
+    base = BaseParams(run_config["gamma"], run_config["eps1"])
+    g = make_grid(run_config["half_length"], run_config["n_points"])
+    cfg = ContinuationConfig(
+        eps_start=run_config["eps_start"], max_points=run_config["max_points"],
+        newton=NewtonConfig(tol=run_config["tol"]),
+        **{k: run_config[k] for k in CONTINUE_THRESHOLDS if k in run_config})
 
     branch = continue_branch(base, g, cfg)
     report = classify_stop(branch, base.with_alpha(branch.points[-1].alpha))
@@ -209,7 +203,7 @@ def cmd_continue(args) -> int:
     if args.out:
         out = Path(args.out)
         save_branch(out / "branch.jsonl", branch, run_config,
-                    sidecar_every=store_every)
+                    sidecar_every=run_config["store_every"])
         pts = branch.points
         write_plot_columns(out / "branch_amplitude.dat",
                            [[pt.alpha for pt in pts],
@@ -274,17 +268,13 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_conjugate(args) -> int:
-    config = _load_config(args)
-    gamma = config.get("gamma", 0.0)
-    eps1 = config.get("eps1", 0.5)
-    alpha = config.get("alpha")
+    run_config = _settings(args)
+    gamma, eps1, alpha = (run_config[k] for k in ("gamma", "eps1", "alpha"))
     if alpha is None:
         print("conjugate: --alpha is required", file=sys.stderr)
         return EXIT_VALIDATION
     p = make_params(gamma, eps1, alpha)
     rep = bore_verdict(p)
-    run_config = {"command": "conjugate", "gamma": gamma, "eps1": eps1,
-                  "alpha": alpha}
     print(f"critical depth      d_cr   = {rep.d_cr:.12g}")
     print(f"conjugate depth     d_star = "
           f"{'none' if rep.d_star is None else f'{rep.d_star:.12g}'}")
@@ -305,20 +295,15 @@ def cmd_conjugate(args) -> int:
 
 
 def cmd_ode(args) -> int:
-    config = _load_config(args)
-    gamma = config.get("gamma", 0.0)
-    eps1 = config.get("eps1", 0.0)
-    eps = config.get("eps", 0.0)
-    dt = config.get("dt", 1e-3)
-    x_max = config.get("x_max", 20.0)
+    run_config = _settings(args)
     if args.q0_list:
         launches = [float(v) for v in args.q0_list.split(",")]
     else:
         launches = list(FIG4_LAUNCHES)
-    p = OdeParams(gamma=gamma, eps1=eps1, eps=eps)
-    run_config = {"command": "ode", "gamma": gamma, "eps1": eps1, "eps": eps,
-                  "dt": dt, "x_max": x_max, "q0_list": launches}
-    orbits = phase_portrait(p, launches, dt=dt, x_max=x_max)
+    run_config["q0_list"] = launches
+    p = OdeParams(gamma=run_config["gamma"], eps1=run_config["eps1"])
+    orbits = phase_portrait(p, launches, dt=run_config["dt"],
+                            x_max=run_config["x_max"])
     print(f"separatrix crest q0 = {p.q0:.12g}; quadratic coefficient = {p.c2:.12g}")
     for q0, orb in zip(launches, orbits):
         print(f"orbit from ({q0}, 0): {len(orb.q)} samples, "
@@ -334,68 +319,36 @@ def cmd_ode(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sp, *, params=True, alpha=False, eps=False, grid=False,
-                report=False):
-    """Add the flags a subcommand reads; every subcommand takes --out."""
-    if params:
-        sp.add_argument("--gamma", type=float, default=None)
-        sp.add_argument("--eps1", type=float, default=None)
-        sp.add_argument("--config", type=str, default=None)
-    if alpha:
-        sp.add_argument("--alpha", type=float, default=None)
-    if eps:
-        sp.add_argument("--eps", type=float, default=None)
-    if grid:
-        sp.add_argument("--half-length", dest="half_length", type=float, default=None)
-        sp.add_argument("--n-points", dest="n_points", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--out", type=str, default=None)
-    if report:
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command.  It takes --config and a flag per setting
+    when SETTINGS lists any, and --out; abbreviated flags are refused, so no
+    prefix is silently read as another setting."""
     ap = argparse.ArgumentParser(
         prog="ehdsolitary",
         description=("Solitary electrohydrodynamic water waves with constant "
                      "vorticity: spectral solver, branch continuation, and "
                      "identity checks"))
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("dispersion", help="linearization multiplier table and root")
-    _add_common(sp, alpha=True, report=True)
-    sp.set_defaults(func=cmd_dispersion)
-
-    sp = sub.add_parser("solve", help="one Newton solve from the asymptotic initializer")
-    _add_common(sp, alpha=True, eps=True, grid=True)
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("continue", help="follow the solitary branch")
-    _add_common(sp, grid=True, report=True)
-    sp.add_argument("--eps-start", dest="eps_start", type=float, default=None)
-    sp.add_argument("--max-points", dest="max_points", type=int, default=None)
-    sp.add_argument("--store-every", dest="store_every", type=int, default=None)
-    sp.set_defaults(func=cmd_continue)
-
-    sp = sub.add_parser("diagnose", help="re-run all checks on a stored solution")
-    sp.add_argument("--input", type=str, default=None)
-    _add_common(sp, params=False, report=True)
-    sp.set_defaults(func=cmd_diagnose)
-
-    sp = sub.add_parser("conjugate", help="laminar conjugate-flow report")
-    _add_common(sp, alpha=True, report=True)
-    sp.set_defaults(func=cmd_conjugate)
-
-    sp = sub.add_parser("ode", help="reduced planar dynamics phase portrait")
-    _add_common(sp, eps=True)
-    sp.add_argument("--q0-list", dest="q0_list", type=str, default=None)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--x-max", dest="x_max", type=float, default=None)
-    sp.set_defaults(func=cmd_ode)
-
-    for sp in sub.choices.values():     # a --config sets the numeric flags
-        sp.set_defaults(config_types={a.dest: a.type for a in sp._actions
-                                      if a.type in (int, float)})
+    for name, func, report, help_ in (
+            ("dispersion", cmd_dispersion, True,
+             "linearization multiplier table and root"),
+            ("solve", cmd_solve, False,
+             "one Newton solve from the asymptotic initializer"),
+            ("continue", cmd_continue, True, "follow the solitary branch"),
+            ("diagnose", cmd_diagnose, True, "re-run all checks on a stored solution"),
+            ("conjugate", cmd_conjugate, True, "laminar conjugate-flow report"),
+            ("ode", cmd_ode, False, "reduced planar dynamics phase portrait")):
+        sp = sub.add_parser(name, help=help_, allow_abbrev=False)
+        if SETTINGS[name]:
+            sp.add_argument("--config", type=str)
+        for dest, (type_, _) in SETTINGS[name].items():
+            sp.add_argument("--" + dest.replace("_", "-"), type=type_)
+        sp.add_argument("--out", type=str)
+        if report:
+            sp.add_argument("--format", choices=("json", "csv"), default="json")
+        sp.set_defaults(func=func)
+    sub.choices["diagnose"].add_argument("--input", type=str)
+    sub.choices["ode"].add_argument("--q0-list", type=str)
     return ap
 
 

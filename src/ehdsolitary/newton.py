@@ -279,8 +279,8 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
     c, c_alpha = (np.zeros(g.n_modes), 1.0) if tangent is None else tangent
     a0, alpha0 = cosine_coefficients(t, g), p.alpha
 
-    def arclength_row(t_c, alpha):
-        return float(c @ (cosine_coefficients(t_c, g) - a0)
+    def arclength_row(t_spectrum, alpha):
+        return float(c @ (t_spectrum.real * g.cosine_weights - a0)
                      + c_alpha * (alpha - alpha0))
 
     state, n_val = SurfaceState(t, p, g), 0.0
@@ -318,7 +318,7 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
                 step *= DAMPING
                 continue
             saw_admissible = True
-            n_c = arclength_row(cand, alpha)
+            n_c = arclength_row(state_c.t1_spectrum, alpha)
             normc = max(float(np.max(np.abs(state_c.residual))), abs(n_c))
             if normc < norm:
                 t, p, state, n_val, norm = cand, p_c, state_c, n_c, normc

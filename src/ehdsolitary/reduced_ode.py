@@ -30,15 +30,13 @@ ESCAPE_FACTOR = 10.0  # an orbit with |Q| above this times q0 has escaped
 
 @dataclass(frozen=True)
 class OdeParams:
+    """(gamma, eps1) of the scaled system, which does not depend on eps."""
     gamma: float
     eps1: float
-    eps: float = 0.0
 
     def __post_init__(self):
         if self.eps1 < 0:
             raise ValidationError("eps1", "must be >= 0")
-        if self.eps < 0:
-            raise ValidationError("eps", "bifurcation parameter must be >= 0")
         # 3 - 3g + g^2 has negative discriminant, so the denominator is
         # positive for every real gamma once eps1 >= 0
         assert self.denom > 0

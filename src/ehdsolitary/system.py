@@ -46,10 +46,11 @@ class SurfaceState:
 
     w1x = ddx(t1), w1y = dtn(t1), w2y = dtn(t2) with t2 = eliminated_t2(t1);
     stream = gamma (t1 + w1y + t1 w1y) + w2y + 1, gradsq = w1x^2 + (1 + w1y)^2
-    and stag = 1 + eps1 - 2 alpha t1.  The residual is checked finite on
-    construction.  A Newton iterate builds one state, and its lambda and
-    every application of its linearization (jacobian_apply) read the state
-    instead of re-deriving the fields.
+    and stag = 1 + eps1 - 2 alpha t1; t1_spectrum is the rfft of t1.  The
+    residual is checked finite on construction.  A Newton iterate builds one
+    state, and its lambda, its arclength row and every application of its
+    linearization (jacobian_apply) read the state instead of re-deriving the
+    fields.
     """
 
     def __init__(self, t1: np.ndarray, p: Params, g: Grid):
@@ -57,7 +58,7 @@ class SurfaceState:
         self.t1, self.params, self.grid = t1, p, g
         c, (self.w1x, self.w1y, self.w2y) = surface_fields(
             np.stack([t1, eliminated_t2(t1, p)]), g)
-        self._t1_spectrum = c[0]
+        self.t1_spectrum = c[0]
         self.stream = p.gamma * (t1 + self.w1y + t1 * self.w1y) + self.w2y + 1.0
         self.gradsq = self.w1x * self.w1x + (1.0 + self.w1y) ** 2
         self.stag = 1.0 + p.eps1 - 2.0 * p.alpha * t1
@@ -79,7 +80,7 @@ class SurfaceState:
     def lambda_min(self) -> float:
         """The admissibility quantity (module lambda_min) of t1; the interior
         rows are one inverse transform of the kept spectrum of t1."""
-        return _lambda_min(self.t1, self._t1_spectrum, self.w1x, self.w1y,
+        return _lambda_min(self.t1, self.t1_spectrum, self.w1x, self.w1y,
                            self.params, self.grid)
 
     @property

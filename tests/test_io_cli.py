@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from ehdsolitary import BaseParams, NewtonConfig, init_small, make_grid, make_params, newton_solve
-from ehdsolitary.cli import main
+from ehdsolitary import cli
+from ehdsolitary.cli import SETTINGS, main
 from ehdsolitary.io import (
     FORMAT_VERSION,
     load_branch,
@@ -13,7 +15,7 @@ from ehdsolitary.io import (
     save_solution,
     write_plot_columns,
 )
-from ehdsolitary.model import WaveSolution
+from ehdsolitary.model import ValidationError, WaveSolution
 
 
 @pytest.fixture(scope="module")
@@ -387,14 +389,122 @@ def test_config_values_are_read_by_their_flag_type(tmp_path, capsys, argv,
     ["diagnose", "--input", "solution.json", "--config", "run.json"],
     ["solve", "--eps", "0.01", "--format", "csv"],
     ["ode", "--format", "json"],
+    ["ode", "--eps", "0.01"],
+    ["dispersion", "--alpha", "1.0", "--eps", "0.01"],
+    ["solve", "--eps", "0.01", "--n-p", "512"],
 ], ids=["continue-eps", "diagnose-gamma", "diagnose-eps1", "diagnose-config",
-        "solve-format", "ode-format"])
+        "solve-format", "ode-format", "ode-eps", "dispersion-eps-prefix",
+        "solve-n-points-prefix"])
 def test_unread_flags_are_rejected(argv, capsys):
-    # a subcommand accepts only the flags it reads; argparse exits with 2
-    # (continue's --eps is refused as an ambiguous prefix of --eps1 and
-    # --eps-start)
+    # a subcommand accepts only the flags it reads, spelled in full; argparse
+    # exits with 2 (a prefix such as --eps is not read as --eps1)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and argv[-2] in err
+
+
+# --- the settings table ------------------------------------------------------
+
+THRESHOLDS = {"m1_tol", "m2_tol", "m3_cap", "f_cap", "tail_tol"}
+NON_NUMERIC = {"config", "out", "format", "input", "q0_list"}
+
+
+def numeric_flags(command, capsys):
+    """{flag: type} of the numeric flags the command's parser accepts, found
+    from its help text and typed by what the parser makes of "3"."""
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args([command, "--help"])
+    flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) - {"--help"}
+    flags -= {"--" + dest.replace("_", "-") for dest in NON_NUMERIC}
+    return {flag: type(getattr(parser.parse_args([command, flag, "3"]),
+                               flag[2:].replace("-", "_")))
+            for flag in flags}
+
+
+def config_keys(command, tmp_path):
+    """{key: type} of the keys a --config file of the command may set, each
+    typed by what the command reads from "3"."""
+    candidates = set().union(*SETTINGS.values(), THRESHOLDS, NON_NUMERIC, {"eps_typo"})
+    accepted = {}
+    for key in sorted(candidates):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({key: "3"}))
+        args = cli.build_parser().parse_args([command, "--config", str(path)])
+        try:
+            accepted[key] = type(cli._settings(args, cli.CONTINUE_THRESHOLDS
+                                               if command == "continue" else ())[key])
+        except ValidationError as exc:
+            assert "unknown key" in str(exc)
+    return accepted
+
+
+@pytest.mark.parametrize("command", sorted(SETTINGS))
+def test_flags_config_keys_and_table_agree(command, tmp_path, capsys):
+    table = {key: type_ for key, (type_, _) in SETTINGS[command].items()}
+    assert numeric_flags(command, capsys) == {"--" + key.replace("_", "-"): type_
+                                      for key, type_ in table.items()}
+    if command == "diagnose":
+        assert table == {}            # and diagnose takes no --config
+        return
+    extra = dict.fromkeys(THRESHOLDS, float) if command == "continue" else {}
+    assert config_keys(command, tmp_path) == {**table, **extra}
+
+
+def written_run_configs(out):
+    """{file name: run_config} of every file a run wrote to out."""
+    found = {}
+    for path in sorted(out.rglob("*")):
+        if path.suffix == ".dat":
+            line = next(l for l in path.read_text().splitlines()
+                        if l.startswith("# run_config:"))
+            found[path.name] = json.loads(line.split(":", 1)[1])
+        elif path.suffix == ".jsonl":
+            found[path.name] = json.loads(path.read_text().splitlines()[0])["run_config"]
+        elif path.suffix == ".json":
+            found[path.name] = json.loads(path.read_text())["run_config"]
+    return found
+
+
+@pytest.mark.parametrize("argv,config,expected", [
+    (["dispersion", "--gamma", "0.2", "--eps1", "0.3", "--alpha", "1.3"], None,
+     {"command": "dispersion", "gamma": 0.2, "eps1": 0.3, "alpha": 1.3}),
+    (["dispersion", "--alpha", "1.0"], None,
+     {"command": "dispersion", "gamma": 0.0, "eps1": 0.5, "alpha": 1.0}),
+    # the derived eps and alpha, and the box sized from eps
+    (["solve", "--alpha", "1.49", "--n-points", "512"], None,
+     {"command": "solve", "gamma": 0.0, "eps1": 0.5, "eps": 0.010000000000000009,
+      "alpha": 1.49, "half_length": 224.0, "n_points": 512, "tol": 1e-11}),
+    (["solve", "--alpha", "1.47"],
+     {"eps1": 0.5, "n_points": 512, "half_length": 224, "tol": "1e-10"},
+     {"command": "solve", "gamma": 0.0, "eps1": 0.5, "eps": 0.030000000000000027,
+      "alpha": 1.47, "half_length": 224.0, "n_points": 512, "tol": 1e-10}),
+    # flag over config over default; the config's thresholds are recorded
+    (["continue", "--max-points", "2"],
+     {"gamma": 0.0, "eps_start": 0.01, "max_points": 4, "n_points": 512,
+      "m2_tol": 0.005, "tail_tol": 1e-8},
+     {"command": "continue", "gamma": 0.0, "eps1": 0.5, "eps_start": 0.01,
+      "max_points": 2, "half_length": 224.0, "n_points": 512, "tol": 1e-11,
+      "store_every": 10, "m2_tol": 0.005, "tail_tol": 1e-8}),
+    (["conjugate", "--gamma", "0.1", "--alpha", "1.0"], None,
+     {"command": "conjugate", "gamma": 0.1, "eps1": 0.5, "alpha": 1.0}),
+    (["ode", "--q0-list", "0.5,1.0", "--x-max", "2"], {"dt": 0.002},
+     {"command": "ode", "gamma": 0.0, "eps1": 0.0, "dt": 0.002, "x_max": 2.0,
+      "q0_list": [0.5, 1.0]}),
+], ids=["dispersion", "dispersion-defaults", "solve-by-alpha", "solve-config",
+        "continue-config", "conjugate", "ode"])
+def test_run_config_records_the_resolved_settings(tmp_path, capsys, argv,
+                                                  config, expected):
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "run.json")]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    records = written_run_configs(out)
+    assert records
+    for name, record in records.items():
+        if name.startswith("orbit_"):       # each orbit also records its launch
+            assert record.pop("q0") == expected["q0_list"][int(name[6:8])]
+        assert record == expected, name
