@@ -7,9 +7,11 @@ Exit codes: 0 success, 1 validation error, 2 invariant violation,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -111,9 +113,16 @@ def _write_report(out_dir, name, payload, fmt, run_config):
     payload["format_version"] = FORMAT_VERSION
     payload["run_config"] = run_config
     if fmt == "csv":
-        rows = [k for k in payload if isinstance(payload[k], (int, float, str, bool))]
-        text = "key,value\n" + "\n".join(f"{k},{payload[k]}" for k in rows) + "\n"
-        atomic_write_text(out_dir / f"{name}.csv", text)
+        # one key,value row per entry: None is an empty cell, a dict or list
+        # (run_config, violations) one JSON cell
+        buf = StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["key", "value"])
+        for key, value in payload.items():
+            if isinstance(value, (dict, list)):
+                value = json.dumps(value)
+            writer.writerow([key, "" if value is None else value])
+        atomic_write_text(out_dir / f"{name}.csv", buf.getvalue())
     else:
         atomic_write_text(out_dir / f"{name}.json", json.dumps(payload, indent=1))
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import Params
 
@@ -73,6 +72,8 @@ def find_dcr(p: Params) -> float:
     """Depth minimizing the Bernoulli function: qhat'(d) d^3 / 2 =
     b^2 d^4 + alpha d^3 - A increases on d > 0 from -A, and is positive at
     1 + A/alpha, so its one positive root lies in (0, 1 + A/alpha)."""
+    from scipy.optimize import brentq   # loaded by the first root only
+
     A, b2 = _depth_coefficients(p)
     return float(brentq(lambda d: b2 * d ** 4 + p.alpha * d ** 3 - A,
                         0.0, 1.0 + A / p.alpha, xtol=1e-14, rtol=8.9e-16))
@@ -91,6 +92,8 @@ def find_dstar(p: Params) -> Optional[float]:
     A, b2 = _depth_coefficients(p)
     if abs(p.alpha - p.alpha_cr) < _EQ_TOL:
         return None
+    from scipy.optimize import brentq
+
     lo, hi = (1.0, 1.0 + A / p.alpha) if p.alpha < p.alpha_cr else (0.0, 1.0)
     return float(brentq(lambda d: ((b2 * d + b2 + 2.0 * p.alpha) * d - A) * d - A,
                         lo, hi, xtol=1e-14, rtol=8.9e-16))

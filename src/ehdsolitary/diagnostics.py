@@ -21,6 +21,7 @@ FLOW_FORCE_PAD = 2          # zero-padding factor of the flow-force integrand
 NODAL_NOISE_FACTOR = 10.0   # slope noise floor over the top-band ripple
 PROP65_TOL = 1e-9           # a bound margin within this is an equality
 REPORT_STATIONS = 9         # flow-force stations listed by full_report
+SCAN_BLOCK_PAIRS = 2 ** 19  # segment pairs per block of the self-intersection scan
 
 
 class DegenerateJacobian(ArithmeticError):
@@ -237,27 +238,27 @@ def _segments_intersect(p1, p2, q1, q2) -> np.ndarray:
 
 
 def _self_intersection_scan(X: np.ndarray, Y: np.ndarray) -> bool:
-    """Segment sweep over the polyline; adjacent segments are excluded."""
+    """Whether two non-adjacent segments of the polyline cross properly.
+
+    Each pair is tested once, in blocks of rows: a block of consecutive
+    segments against the later segments whose bounding boxes meet the
+    block's (segments that cross have overlapping boxes), at most
+    SCAN_BLOCK_PAIRS pairs per block, so memory is O(n) for n segments.
+    """
     pts = np.column_stack([X, Y])
-    n = len(pts) - 1
-    if n > 4000:
-        # restrict to the non-graph region plus margin; a single-valued graph
-        # cannot self-intersect
-        keep = np.nonzero(np.diff(X) < 0)[0]
-        if keep.size == 0:
-            return False
-        lo = max(int(keep.min()) - 200, 0)
-        hi = min(int(keep.max()) + 200, n)
-        pts = pts[lo:hi + 1]
-        n = len(pts) - 1
-    a1 = pts[:-1][:, None, :]
-    a2 = pts[1:][:, None, :]
-    b1 = pts[:-1][None, :, :]
-    b2 = pts[1:][None, :, :]
-    hits = _segments_intersect(a1, a2, b1, b2)
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    hits &= np.abs(i - j) > 1
-    return bool(np.any(hits))
+    p1, p2 = pts[:-1], pts[1:]
+    box_lo, box_hi = np.minimum(p1, p2), np.maximum(p1, p2)
+    n = len(p1)
+    rows = max(1, SCAN_BLOCK_PAIRS // max(n, 1))
+    for i0 in range(0, n, rows):
+        i = slice(i0, i0 + rows)
+        lo, hi = box_lo[i].min(axis=0), box_hi[i].max(axis=0)
+        j = i0 + 2 + np.flatnonzero(np.all((box_lo[i0 + 2:] <= hi)
+                                           & (box_hi[i0 + 2:] >= lo), axis=1))
+        hits = _segments_intersect(p1[i, None], p2[i, None], p1[None, j], p2[None, j])
+        if np.any(hits & (j > np.arange(i0, i0 + len(hits))[:, None] + 1)):
+            return True
+    return False
 
 
 def physical_profile(sol: WaveSolution) -> ProfileReport:

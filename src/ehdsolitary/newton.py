@@ -102,10 +102,12 @@ def build_solution(t1_or_state, p: Params, g: Grid, tol: float,
     )
 
 
-def dense_jacobian(t1_or_state, p: Params, g: Grid) -> np.ndarray:
+def dense_jacobian(t1_or_state, p: Params, g: Grid,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Collocation Jacobian in the cosine basis at a trace or SurfaceState,
     rows output and columns input mode, from the spectra of the state's
-    coefficients alone.
+    coefficients alone; written into out, an (M, M) array or view, when one
+    is given, and returned.
 
     In the cosine basis, multiplying by a function f is the matrix
     P(f)[r, l] = (w_r / 2) (G[r - l] + G[r + l]), G the transform of f with
@@ -116,9 +118,10 @@ def dense_jacobian(t1_or_state, p: Params, g: Grid) -> np.ndarray:
         J = P(a0) + P(a1) diag(k coth k) + P_odd(a2) diag(i k)
             + P(a3) diag(k coth k) P(a4),
     P_odd taking the odd part of G.  P is a Toeplitz plus a Hankel window of
-    one extended spectrum; the last term is one matrix product, and vanishes
-    at gamma = 0, where a4 = -gamma (1 + t1) is zero.  Memory is a few (M, M)
-    arrays; no (M, N) basis is formed.
+    one extended spectrum, summed in place; the last term is one matrix
+    product, and vanishes at gamma = 0, where a4 = -gamma (1 + t1) is zero.
+    Memory is out plus one (M, M) scratch array (two more at gamma != 0); no
+    (M, N) basis is formed.
     """
     state = SurfaceState.of(t1_or_state, p, g)
     m, n = g.n_modes, g.n_points
@@ -130,23 +133,34 @@ def dense_jacobian(t1_or_state, p: Params, g: Grid) -> np.ndarray:
     even = ext.real
     odd = ext.imag[2] * np.where(j <= n // 2, 1.0, -1.0)
 
-    def toeplitz(v):                  # row r, column l: v[r - l]
-        return sliding_window_view(v[:2 * m - 1], m)[:, ::-1]
+    # J is written through its transpose jac_t, whose row l is column l of
+    # J, so that a Fortran-ordered out is filled row by row in memory.  P of
+    # an even spectrum is symmetric, so only the odd term and the diagonal
+    # scalings see the transposition.
+    def toeplitz_t(v):                # row l, column r: v[r - l]
+        return sliding_window_view(v[:2 * m - 1], m)[::-1]
 
-    def hankel(v):                    # row r, column l: v[r + l]
+    def hankel(v):                    # row l, column r: v[r + l]
         return sliding_window_view(v[m - 1:], m)
 
-    def product(v):                   # P(f) without its row weights
-        return toeplitz(v) + hankel(v)
+    def product(v, dest):             # P(f) without its row weights
+        return np.add(toeplitz_t(v), hankel(v), out=dest)
 
+    jac = np.empty((m, m), order="F") if out is None else out
+    jac_t, scratch = jac.T, np.empty((m, m))
     half_w = 0.5 * np.abs(g.cosine_weights)[:, None]
-    mu = g.dtn_symbol
+    mu = g.dtn_symbol[:, None]
+    product(even[0], jac_t)
+    jac_t += np.multiply(product(even[1], scratch), mu, out=scratch)
     # a2 ddx(cos(k_l x)) = -k_l a2 sin(k_l x)
-    jac = (product(even[0]) + product(even[1]) * mu
-           + (hankel(odd) - toeplitz(odd)) * g.ddx_symbol.imag)
-    jac *= half_w
+    np.subtract(hankel(odd), toeplitz_t(odd), out=scratch)
+    jac_t += np.multiply(scratch, g.ddx_symbol.imag[:, None], out=scratch)
+    jac_t *= half_w.T
     if p.gamma != 0.0:
-        jac += (half_w * product(even[3])) @ (half_w * mu[:, None] * product(even[4]))
+        left = np.multiply(product(even[3], scratch), half_w, out=scratch)
+        right = product(even[4], np.empty((m, m)))
+        right *= half_w * mu
+        jac_t += (left @ right).T
     return jac
 
 
@@ -182,8 +196,9 @@ def _bordered_solver(state: SurfaceState, c: np.ndarray, c_alpha: float,
     """The linear step (r, n_val) -> (dt, dalpha) of the bordered system
     [J b; c c_alpha] at state, b defaulting to the state's dR/dalpha.
 
-    Dense: one LU of the (M+1, M+1) matrix from dense_jacobian, reused by
-    every call.  Krylov: each call is one GMRES solve, matrix-free, so memory
+    Dense: one LU of the (M+1, M+1) matrix, reused by every call; J is
+    written into its top-left block by dense_jacobian and the LU overwrites
+    it.  Krylov: each call is one GMRES solve, matrix-free, so memory
     stays O(N), of at most KRYLOV_MAXITER restarts; the preconditioner is
     _preconditioner on the modes, one transform pair per application, and
     passes the border entry unchanged.  The bordered operator stays
@@ -194,10 +209,12 @@ def _bordered_solver(state: SurfaceState, c: np.ndarray, c_alpha: float,
     if b is None:
         b = cosine_coefficients(state.alpha_derivative, g)
     if _use_dense(cfg, g):
-        big = np.block([[dense_jacobian(state, p, g), b[:, None]],
-                        [c[None, :], np.array([[c_alpha]])]])
+        # Fortran order, so that LAPACK factors the matrix where it stands
+        big = np.empty((m + 1, m + 1), order="F")
+        dense_jacobian(state, p, g, big[:m, :m])
+        big[:m, m], big[m, :m], big[m, m] = b, c, c_alpha
         try:
-            lu = lu_factor(big)
+            lu = lu_factor(big, overwrite_a=True)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise SingularLinearSolve(f"bordered factorization failed: {exc}") from exc
         solve = lambda rhs: lu_solve(lu, rhs)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import Grid, Params
 from .spectral import (INTERIOR_LEVELS, _fields_from_spectrum, dtn_multiplier,
@@ -149,6 +148,8 @@ def dispersion_root(p: Params):
     target = (p.gamma + p.alpha) / (1.0 + p.eps1)
     if target <= 1.0:
         return None
+    from scipy.optimize import brentq   # loaded by the first root only
+
     f = lambda k: float(dtn_multiplier(np.array([k]))[0]) - target
     return float(brentq(f, 0.0, target, xtol=1e-14, rtol=8.9e-16))
 

@@ -1,4 +1,6 @@
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import lu_factor
 
 from ehdsolitary.model import BaseParams, Grid, Params, make_params
 from ehdsolitary.reduced_ode import OdeParams, _rk4_step
@@ -184,6 +186,32 @@ def reference_dense_jacobian(t1_or_state, p: Params, g: Grid) -> np.ndarray:
     directional derivatives on the basis traces (one batched application):
     the oracle for newton.dense_jacobian."""
     return cosine_coefficients(jacobian_apply(t1_or_state, cosine_basis(g), p, g), g).T
+
+
+def blockwise_bordered_lu(state: SurfaceState, b, c, c_alpha):
+    """LU factors of the bordered matrix [J b; c c_alpha] at state, with J
+    summed term by term out of place in C order, the matrix joined by
+    np.block and factored by lu_factor on a copy: the bit-for-bit oracle of
+    the in-place dense step of newton."""
+    p, g = state.params, state.grid
+    m, n = g.n_modes, g.n_points
+    spec = np.fft.rfft(np.stack(state.coefficients), axis=-1) * np.sign(g.cosine_weights)
+    j = (np.arange(3 * m - 2) - (m - 1)) % n
+    ext = spec[:, np.minimum(j, n - j)]
+    even = ext.real
+    odd = ext.imag[2] * np.where(j <= n // 2, 1.0, -1.0)
+    toeplitz = lambda v: sliding_window_view(v[:2 * m - 1], m)[:, ::-1]
+    hankel = lambda v: sliding_window_view(v[m - 1:], m)
+    product = lambda v: toeplitz(v) + hankel(v)
+    half_w = 0.5 * np.abs(g.cosine_weights)[:, None]
+    mu = g.dtn_symbol
+    jac = (product(even[0]) + product(even[1]) * mu
+           + (hankel(odd) - toeplitz(odd)) * g.ddx_symbol.imag)
+    jac *= half_w
+    if p.gamma != 0.0:
+        jac += (half_w * product(even[3])) @ (half_w * mu[:, None] * product(even[4]))
+    big = np.block([[jac, b[:, None]], [c[None, :], np.array([[c_alpha]])]])
+    return lu_factor(big)
 
 
 def reference_alpha_derivative(t1: np.ndarray, p: Params, g: Grid) -> np.ndarray:

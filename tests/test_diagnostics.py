@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -251,6 +252,7 @@ class TestPhysicalProfile:
         rep = physical_profile(sol)
         assert rep.overhang
         assert rep.min_xi_prime < 0
+        assert rep.self_intersecting
 
     @pytest.mark.parametrize("wave", ["small_wave", "rotational_wave"])
     def test_span_keeps_the_mass(self, wave, request):
@@ -264,6 +266,46 @@ class TestPhysicalProfile:
             rep = physical_profile(sol)
         span = 2.0 * g.half_length - g.spacing + g.spacing * np.sum(sol.t1)
         assert abs(rep.X[-1] - rep.X[0] - span) < 1e-9
+
+
+class TestSelfIntersectionScan:
+    @pytest.mark.parametrize("points,crosses", [
+        ([(0, 0), (1, 0), (1, 1), (0.5, -1)], True),          # third crosses first
+        ([(0, 0), (1, 1), (2, 0), (3, 1)], False),            # zigzag graph
+        ([(0, 0), (2, 0), (2, 1), (1, 1), (1, 0)], False),    # touches, no crossing
+        ([(0, 0), (1, 0), (0.5, 0.5), (0.5, -0.5)], True),
+        ([(0, 0), (1, 0), (1, 1), (0.5, 1), (0.5, -1)], True),  # back across the start
+        ([(0, 0), (1, 0), (0.2, 0)], False),                  # adjacent overlap only
+        ([(0, 0)], False),
+        ([(0, 0), (1, 1)], False),
+    ])
+    def test_small_polylines(self, points, crosses):
+        X, Y = np.array(points, dtype=float).T
+        assert diagnostics._self_intersection_scan(X, Y) is crosses
+
+    @pytest.mark.parametrize("even_y", [False, True])
+    def test_fold_far_from_the_crossing(self, even_y):
+        # 16 000 segments folding over at |s| < 0.88: with an even Y the two
+        # arms cross at s = +-1.915, 207 segments beyond the fold
+        s = np.linspace(-40.0, 40.0, 16001)
+        X = s - 2.0 * np.tanh(s)
+        Y = 1.0 / np.cosh(s) if even_y else 0.05 * s
+        assert diagnostics._self_intersection_scan(X, Y) is even_y
+
+    def test_memory_is_linear_in_the_segments(self):
+        # a spiral of triangles: 16 000 chords whose bounding boxes all meet,
+        # so no block is pruned; an n x n scan would take 2 GB per array
+        k = np.arange(16001)
+        r, theta = 1.0 + 1e-4 * k, 2.0 * np.pi * k / 3.0
+        tracemalloc.start()
+        try:
+            crosses = diagnostics._self_intersection_scan(r * np.cos(theta),
+                                                          r * np.sin(theta))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not crosses
+        assert peak <= 64 * 2 ** 20
 
 
 class TestLaminarBounds:

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -214,12 +215,41 @@ class TestCliConjugate:
         assert doc["format_version"] == FORMAT_VERSION
 
     def test_csv_format(self, tmp_path):
-        rc = main(["conjugate", "--gamma", "0", "--eps1", "0.5",
-                   "--alpha", "1.0", "--out", str(tmp_path), "--format", "csv"])
-        assert rc == 0
-        text = (tmp_path / "conjugate.csv").read_text()
-        assert text.startswith("key,value")
-        assert "bore_excluded,True" in text
+        cells = self._csv_matches_json(tmp_path, "1.0")
+        assert cells["bore_excluded"] == "True"
+        assert float(cells["d_star"]) == pytest.approx(1.31873, abs=1e-4)
+
+    def test_csv_none_is_an_empty_cell(self, tmp_path):
+        cells = self._csv_matches_json(tmp_path, "1.5")      # alpha_cr
+        assert cells["d_star"] == cells["shat_at_star"] == ""
+
+    @staticmethod
+    def _csv_matches_json(tmp_path, alpha):
+        """The CSV report holds every key of the JSON report in order: None
+        as an empty cell, run_config as one JSON cell.  Returns its cells."""
+        args = ["conjugate", "--gamma", "0", "--eps1", "0.5", "--alpha", alpha]
+        assert main(args + ["--out", str(tmp_path / "csv"), "--format", "csv"]) == 0
+        assert main(args + ["--out", str(tmp_path / "json")]) == 0
+        with open(tmp_path / "csv" / "conjugate.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        doc = json.loads((tmp_path / "json" / "conjugate.json").read_text())
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        cells = dict(rows[1:])
+        assert list(cells) == list(doc)
+        assert json.loads(cells["run_config"]) == doc["run_config"]
+        for key, value in doc.items():
+            if key != "run_config":
+                assert cells[key] == ("" if value is None else str(value)), key
+        return cells
+
+    def test_csv_quotes_separators(self, tmp_path):
+        cli._write_report(tmp_path, "r", {"reason": 'a, "b"', "violations": ["x", "y"]},
+                          "csv", {"command": "c"})
+        with open(tmp_path / "r.csv", newline="") as fh:
+            cells = dict(list(csv.reader(fh))[1:])
+        assert cells["reason"] == 'a, "b"'
+        assert json.loads(cells["violations"]) == ["x", "y"]
 
     def test_no_critical_depth_is_a_validation_error(self, capsys):
         rc = main(["conjugate", "--gamma", "2", "--eps1", "0", "--alpha", "1"])

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
 from ehdsolitary import newton, system
 from ehdsolitary import (
@@ -20,7 +21,7 @@ from ehdsolitary.io import load_solution
 from ehdsolitary.model import symmetry_error
 from ehdsolitary.spectral import cosine_coefficients
 from ehdsolitary.system import residual
-from helpers import crest_state, reference_dense_jacobian
+from helpers import blockwise_bordered_lu, crest_state, reference_dense_jacobian
 from three_component import newton_solve_three_component
 
 FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
@@ -363,6 +364,61 @@ class TestDenseJacobian:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 8 * g.n_modes ** 2
+
+
+class TestDenseStep:
+    """The bordered matrix is assembled in place and LU-factored where it
+    stands, with the operation order of a term-by-term assembly."""
+
+    @staticmethod
+    def _border(state):
+        g = state.grid
+        return (cosine_coefficients(state.alpha_derivative, g),
+                cosine_coefficients(state.t1, g), 0.3)
+
+    @pytest.mark.parametrize("n,half_length", [(256, 32.0), (1024, 64.0)])
+    @pytest.mark.parametrize("gamma", [0.0, 0.4])
+    def test_matches_blockwise_oracle_bit_for_bit(self, gamma, n, half_length,
+                                                  monkeypatch):
+        g = make_grid(half_length, n)
+        state = crest_state(g, gamma, 0.5)
+        b, c, c_alpha = self._border(state)
+        seen = []
+
+        def recording_lu_factor(a, **kwargs):
+            matrix = a.copy()
+            lu, piv = lu_factor(a, **kwargs)
+            seen.append((matrix, lu, piv, np.shares_memory(lu, a)))
+            return lu, piv
+
+        monkeypatch.setattr(newton, "lu_factor", recording_lu_factor)
+        newton.solve_newton_step(state, state.residual, state.params, g,
+                                 NewtonConfig(linear_solver="dense"),
+                                 border=(b, c, c_alpha, 0.0))
+        (matrix, lu, piv, in_place), = seen
+        lu_ref, piv_ref = blockwise_bordered_lu(state, b, c, c_alpha)
+        assert in_place
+        assert matrix.shape == (g.n_modes + 1,) * 2
+        assert matrix[:-1, -1].tobytes() == b.tobytes()
+        assert matrix[-1].tobytes() == np.append(c, c_alpha).tobytes()
+        assert np.array_equal(lu, lu_ref) and np.array_equal(piv, piv_ref)
+        np.testing.assert_array_equal(matrix[:-1, :-1],
+                                      newton.dense_jacobian(state, state.params, g))
+
+    def test_peak_memory_of_one_step(self):
+        g = make_grid(64.0, 1024)
+        state = crest_state(g, 0.0, 0.5)
+        b, c, c_alpha = self._border(state)
+        state.coefficients              # cached before the measurement
+        tracemalloc.start()
+        try:
+            newton.solve_newton_step(state, state.residual, state.params, g,
+                                     NewtonConfig(linear_solver="dense"),
+                                     border=(b, c, c_alpha, 0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * (g.n_modes + 1) ** 2
 
 
 class TestKrylovStep:

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ehdsolitary import (
     dispersion_root,
+    find_dcr,
+    find_dstar,
     jacobian_apply,
     lambda_min,
     linear_multiplier,
@@ -322,3 +329,41 @@ class TestJacobianSkipAtZeroGamma:
             assert not np.any(a4)
             full = a0 * dt + a1 * dtn(dt, g) + a2 * ddx(dt, g) + a3 * dtn(a4 * dt, g)
             assert np.array_equal(jacobian_apply(state, dt, state.params, g), full)
+
+
+_LAZY_ROOTS_SCRIPT = """
+import sys
+import ehdsolitary, ehdsolitary.cli
+from ehdsolitary import (BaseParams, ContinuationConfig, continue_branch,
+                         dispersion_root, find_dcr, find_dstar, make_grid,
+                         make_params)
+from ehdsolitary.cli import _auto_half_length
+
+branch = continue_branch(BaseParams(0.0, 0.5),
+                         make_grid(_auto_half_length(1e-3, 0.5), 1024),
+                         ContinuationConfig(max_points=3))
+assert len(branch.points) == 3, branch.stop_reason
+assert "scipy.optimize" not in sys.modules, "the solver path loaded scipy.optimize"
+p, q = make_params(0.2, 0.3, 1.5), make_params(0.1, 0.5, 1.0)
+first = [dispersion_root(p), find_dcr(q), find_dstar(q)]
+assert "scipy.optimize" in sys.modules
+again = [dispersion_root(p), find_dcr(q), find_dstar(q)]
+print(" ".join(x.hex() for x in first), "|", " ".join(x.hex() for x in again))
+"""
+
+
+def test_solver_path_does_not_load_scipy_optimize():
+    # a fresh interpreter: the package, the CLI module and a short branch run
+    # leave scipy.optimize unloaded; the root finders import it on first use
+    # and return the same bits on every call
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _LAZY_ROOTS_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    first, again = run.stdout.split("|")
+    assert first.split() == again.split()
+    p, q = make_params(0.2, 0.3, 1.5), make_params(0.1, 0.5, 1.0)
+    here = [dispersion_root(p), find_dcr(q), find_dstar(q)]
+    assert first.split() == [x.hex() for x in here]
