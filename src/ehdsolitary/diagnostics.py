@@ -251,12 +251,13 @@ def _self_intersection_scan(X: np.ndarray, Y: np.ndarray) -> bool:
     n = len(p1)
     rows = max(1, SCAN_BLOCK_PAIRS // max(n, 1))
     for i0 in range(0, n, rows):
-        i = slice(i0, i0 + rows)
-        lo, hi = box_lo[i].min(axis=0), box_hi[i].max(axis=0)
-        j = i0 + 2 + np.flatnonzero(np.all((box_lo[i0 + 2:] <= hi)
-                                           & (box_hi[i0 + 2:] >= lo), axis=1))
+        i = np.arange(i0, min(i0 + rows, n))
+        later = slice(i0 + 2, None)
+        meets = np.all((box_lo[later] <= box_hi[i].max(axis=0))
+                       & (box_hi[later] >= box_lo[i].min(axis=0)), axis=1)
+        j = i0 + 2 + np.flatnonzero(meets)
         hits = _segments_intersect(p1[i, None], p2[i, None], p1[None, j], p2[None, j])
-        if np.any(hits & (j > np.arange(i0, i0 + len(hits))[:, None] + 1)):
+        if np.any(hits & (j > i[:, None] + 1)):
             return True
     return False
 
