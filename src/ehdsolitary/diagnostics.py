@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import WaveSolution, symmetry_error
-from .spectral import _cosh_ratio, conjugate_primitive, ddx, dtn, harmonic_fields
+from .spectral import (_cosh_ratio, _fields_from_spectrum, conjugate_primitive, dtn,
+                       harmonic_fields)
 from .system import (INTERIOR_LEVELS, SurfaceState, _lambda_of_fields, eliminated_t2,
                      surface_gradient_bounds)
 
@@ -31,14 +32,14 @@ class DegenerateJacobian(ArithmeticError):
 def _surface_fields(state: SurfaceState):
     """((eta_x, eta_y), (u, v, e1, e2)) on the surface.  eta_x, eta_y, zeta_y
     and |grad eta|^2 come from the solution's SurfaceState; only
-    zeta_x = ddx(t2) is transformed here."""
+    zeta_x = ddx(t2) is transformed here, from the state's spectrum of t2."""
     p, g, t1 = state.params, state.grid, state.t1
     gradsq = state.gradsq
     if np.min(gradsq) < 1e-14:
         raise DegenerateJacobian(
             f"|grad eta|^2 reaches {np.min(gradsq):.3e} on the surface")
     eta_x, eta_y = state.w1x, 1.0 + state.w1y
-    zeta_x = ddx(eliminated_t2(t1, p), g)
+    zeta_x = np.fft.irfft(state.t2_spectrum * g.ddx_symbol, n=g.n_points)
     zeta_y = (1.0 - p.gamma) + state.w2y
     u = (eta_x * zeta_x + eta_y * zeta_y) / gradsq + p.gamma * (1.0 + t1)
     v = (eta_x * zeta_y - eta_y * zeta_x) / gradsq
@@ -58,53 +59,95 @@ def gamma_field_arrays(sol: WaveSolution):
 
 # --- flow force ---------------------------------------------------------------
 
-def _flow_force_all_stations(sol: WaveSolution, pad: int) -> np.ndarray:
-    """Flow force at every station, with the integral over the strip height
-    in closed form.  The integrand is Re G, G = (F'^2 + eps1) / (2 Z'), with
-    Z' = eta_y + i eta_x and F' = zeta_y + i zeta_x analytic in x + i y, so
-    mode k of G varies as exp(-k y): integrated, it is mode k of G on the
-    bottom (k > 0) or the surface (k < 0) times (1 - exp(-|k|)) / |k|, in
-    (0, 1].  As G is real on the bottom, rfft mode k of the integral of Re G
-    is that factor times half the sum of mode k of conj(G) on both lines.  G
-    is taken on a pad-times zero-padded grid of the same box, which keeps
+def _flow_force_spectra(sol: WaveSolution, pad: int):
+    """The DFT of the flow-force integrand on a pad-times zero-padded grid of
+    the same box, n = pad N samples: the rfft of G on the bottom, where G is
+    real, and the full fft of conj(G) on the surface.
+
+    The integrand is Re G, G = (F'^2 + eps1) / (2 Z'), with Z' = eta_y +
+    i eta_x and F' = zeta_y + i zeta_x analytic in x + i y; the padding keeps
     its aliasing off the stations."""
     p, g, t1 = sol.params, sol.grid, sol.t1
     n, k = pad * g.n_points, g.wavenumbers
-    eta_surface = 1.0 + t1
     # the surface traces of eta and zeta, exactly interpolated: irfft pads
-    # with zeros, and g's Nyquist mode splits between +k and -k
-    c = pad * np.fft.rfft([eta_surface, 1.0 - p.gamma + eliminated_t2(t1, p)], axis=-1)
+    # with zeros, and g's Nyquist mode splits between +k and -k.  At
+    # gamma = 0, zeta = 1 - gamma + t2 is exactly 1, so zeta_y = 1 and
+    # zeta_x = 0 on both lines, and eta alone is transformed.
+    traces = [1.0 + t1]
+    if p.gamma != 0.0:
+        traces.append(1.0 - p.gamma + eliminated_t2(t1, p))
+    c = pad * np.fft.rfft(traces, axis=-1)
     c[:, -1] *= 0.5
 
     # bottom: d/dy is k / sinh k and d/dx is 0, so G is real there
-    eta_y, zeta_y = np.fft.irfft(c * _cosh_ratio(k, 0.0), n=n, axis=-1)
-    h = np.fft.rfft((zeta_y * zeta_y + p.eps1) / (2.0 * eta_y))
+    eta_y, *zeta_y = np.fft.irfft(c * _cosh_ratio(k, 0.0), n=n, axis=-1)
+    zeta_y = zeta_y[0] if zeta_y else 1.0
+    bottom = np.fft.rfft((zeta_y * zeta_y + p.eps1) / (2.0 * eta_y))
     del eta_y, zeta_y                       # one line's fields at a time
     # surface: conj(Z') = eta_y - i eta_x and conj(F') through dtn and i k,
     # which keeps g's Nyquist mode: it is interior to the padded grid
-    z, f = (np.fft.irfft(row * g.dtn_symbol, n=n) - 1j * np.fft.irfft(row * (1j * k), n=n)
-            for row in c)
-    h += np.fft.fft((f * f + p.eps1) / (2.0 * z))[:len(h)]
+    z, *f = (np.fft.irfft(row * g.dtn_symbol, n=n) - 1j * np.fft.irfft(row * (1j * k), n=n)
+             for row in c)
+    f = f[0] if f else 1.0
+    return bottom, np.fft.fft((f * f + p.eps1) / (2.0 * z))
+
+
+def _flow_force_stations(sol: WaveSolution, h: np.ndarray, pad: int) -> np.ndarray:
+    """Flow force at every station from h, mode k of the integrand on the
+    bottom plus mode k of its conjugate on the surface (k = 0 .. pad N / 2),
+    on the pad-times grid; h is overwritten.
+
+    Mode k of G varies as exp(-k y): integrated over the strip height, it is
+    mode k of G on the bottom (k > 0) or the surface (k < 0) times
+    (1 - exp(-|k|)) / |k|, in (0, 1].  As G is real on the bottom, rfft mode
+    k of the integral of Re G is that factor times half of h[k].  The
+    stations are every pad-th point of the fine grid, so their values are
+    the N-point inverse DFT of the integral's spectrum summed over k mod N,
+    over pad."""
+    p, g = sol.params, sol.grid
+    n = g.n_points
     kf = (np.pi / g.half_length) * np.arange(1, len(h))
     h[0] *= 0.5
     h[1:] *= -0.5 * np.expm1(-kf) / kf
     h[-1] = 0.0
-    total = np.fft.irfft(h, n=n)[::pad]
+    spectrum = np.concatenate([h, h[-2:0:-1].conj()])     # all pad N modes
+    total = np.fft.irfft(spectrum.reshape(pad, n).sum(axis=0)[:n // 2 + 1], n=n) / pad
 
+    eta_surface = 1.0 + sol.t1
     boundary = (p.gamma ** 2 / 6.0 * eta_surface ** 3
                 + 0.5 * p.alpha * eta_surface ** 2
                 - 0.5 * (2.0 * p.alpha + 1.0 + p.eps1) * eta_surface)
     return total - boundary
 
 
+def _flow_force_all_stations(sol: WaveSolution, pad: int) -> np.ndarray:
+    """Flow force at every station, with the integral over the strip height
+    in closed form, from the integrand on a pad-times zero-padded grid."""
+    bottom, surface = _flow_force_spectra(sol, pad)
+    bottom += surface[:len(bottom)]
+    return _flow_force_stations(sol, bottom, pad)
+
+
 def flow_force_profile(sol: WaveSolution, check: bool = True) -> np.ndarray:
-    """Flow force at all stations, its integrand evaluated on a
-    FLOW_FORCE_PAD-times zero-padded grid; optionally verifies convergence by
-    doubling the padding and warns when the result moves by more than 1e-8."""
-    s = _flow_force_all_stations(sol, FLOW_FORCE_PAD)
+    """Flow force at all stations, its integrand evaluated once, on a
+    2 FLOW_FORCE_PAD-times zero-padded grid.
+
+    The result is that of the FLOW_FORCE_PAD-times grid, whose samples are
+    every second sample of the finer one: their DFT is the fold
+    (H[k] + H[k + n/2]) / 2 of the finer DFT H, and on the bottom, where the
+    integrand is real, H[k + n/2] = conj(H[n/2 - k]).  With check, the
+    result of the finer grid is formed too, and a gap above 1e-8 between
+    the two warns that the integrand is not resolved."""
+    bottom, surface = _flow_force_spectra(sol, 2 * FLOW_FORCE_PAD)
+    half = len(bottom) - 1                  # n/2 on the finer grid
+    m = half // 2 + 1                       # rfft length on the coarser one
+    folded = 0.5 * (bottom[:m] + bottom[half:half - m:-1].conj()
+                    + surface[:m] + surface[half:half + m])
+    s = _flow_force_stations(sol, folded, FLOW_FORCE_PAD)
     if check:
-        s2 = _flow_force_all_stations(sol, 2 * FLOW_FORCE_PAD)
-        gap = float(np.max(np.abs(s2 - s)))
+        bottom += surface[:len(bottom)]
+        fine = _flow_force_stations(sol, bottom, 2 * FLOW_FORCE_PAD)
+        gap = float(np.max(np.abs(fine - s)))
         if gap > 1e-8:
             warnings.warn(
                 f"flow-force integrand not resolved: doubling the padding "
@@ -143,8 +186,12 @@ def flux_identity_check(sol: WaveSolution) -> IdentityReport:
     up to a remainder controlled by the truncation tail.  The advective
     moment I[w1 w1y] must be positive for nontrivial waves.
     """
+    return _flux_identity_check(sol, dtn(sol.t1, sol.grid))
+
+
+def _flux_identity_check(sol: WaveSolution, w1y: np.ndarray) -> IdentityReport:
+    """flux_identity_check with w1y = dtn(t1) given."""
     p, g, t1 = sol.params, sol.grid, sol.t1
-    w1y = dtn(t1, g)
     h = g.spacing
     integral = lambda f: float(h * np.sum(f))
     lhs = (1.0 - p.gamma + p.eps1 - p.alpha) * integral(t1)
@@ -180,12 +227,18 @@ def nodal_check(sol: WaveSolution, tail_floor: float = 1e-8) -> NodalReport:
     On well-resolved waves that floor sits at rounding level, i.e. the check
     is the strict sign test.
     """
-    return _nodal_check(sol, tail_floor, _level_fields(sol)[1])
+    return _nodal_check(
+        sol, tail_floor, harmonic_fields(sol.t1, sol.grid, (1.0,) + INTERIOR_LEVELS)[1])
 
 
-def _level_fields(sol: WaveSolution):
-    """harmonic_fields of the solution at y = 1 and the INTERIOR_LEVELS."""
-    return harmonic_fields(sol.t1, sol.grid, (1.0,) + INTERIOR_LEVELS)
+def _level_fields(state: SurfaceState):
+    """harmonic_fields of the state's t1 at y = 1 and the INTERIOR_LEVELS:
+    the state's own surface row, then the interior rows from its spectrum
+    of t1."""
+    interior = _fields_from_spectrum(state.t1_spectrum, state.t1, state.grid,
+                                     INTERIOR_LEVELS)
+    return tuple(np.concatenate([surface[None], rows]) for surface, rows
+                 in zip((state.t1, state.w1x, state.w1y), interior))
 
 
 def _nodal_check(sol: WaveSolution, tail_floor: float, slopes) -> NodalReport:
@@ -272,8 +325,13 @@ def physical_profile(sol: WaveSolution) -> ProfileReport:
     stretch xi_x = eta_y becomes negative anywhere; self-intersection of an
     overhanging profile is reported, not rejected.
     """
+    return _physical_profile(sol, dtn(sol.t1, sol.grid))
+
+
+def _physical_profile(sol: WaveSolution, w1y: np.ndarray) -> ProfileReport:
+    """physical_profile with w1y = dtn(t1) given."""
     g, t1 = sol.grid, sol.t1
-    eta_y = 1.0 + dtn(t1, g)
+    eta_y = 1.0 + w1y
     m = float(np.mean(eta_y - 1.0))
     X = (1.0 + m) * g.x + conjugate_primitive(eta_y - 1.0 - m, g)
     Y = 1.0 + t1
@@ -316,8 +374,8 @@ def prop65_check(sol: WaveSolution) -> BoundsReport:
     the stream bound collapses to an equality for zero vorticity; both are
     reported as degenerate-equality rather than failure.
     """
-    return _prop65_check(sol, SurfaceState(sol.t1, sol.params, sol.grid),
-                         _level_fields(sol))
+    state = SurfaceState(sol.t1, sol.params, sol.grid)
+    return _prop65_check(sol, state, _level_fields(state))
 
 
 def _prop65_check(sol: WaveSolution, state: SurfaceState, fields) -> BoundsReport:
@@ -358,14 +416,15 @@ def _prop65_check(sol: WaveSolution, state: SurfaceState, fields) -> BoundsRepor
 def full_report(sol: WaveSolution) -> dict:
     """Every check on one solution, as a JSON-friendly nested dict.  Used by
     the diagnose command; hard invariants carry an 'ok' flag.  The
-    solution's SurfaceState, its velocity and electric fields, and the fields
-    at y = 1 and the INTERIOR_LEVELS are each evaluated once and shared by
-    the checks."""
+    solution's SurfaceState is built once: the checks read its surface
+    fields, and the velocity and electric fields and the fields at y = 1
+    and the INTERIOR_LEVELS come from its spectra, so every trace is
+    transformed forward once."""
     p, g = sol.params, sol.grid
     state = SurfaceState(sol.t1, p, g)
     rnorm = float(np.max(np.abs(state.residual)))
     sym = symmetry_error(sol.t1)
-    fields = _level_fields(sol)
+    fields = _level_fields(state)
     lam = _lambda_of_fields(*fields, p)
     m1, m2, m3 = surface_gradient_bounds(state, p, g)
     nontrivial = float(np.max(np.abs(sol.t1))) > 1e-12
@@ -377,12 +436,12 @@ def full_report(sol: WaveSolution) -> dict:
     s_ref = float(s_vals[g.n_points // 2])        # station at the crest x = 0
     spread = float(np.max(np.abs(s_at_stations - s_ref)) / max(abs(s_ref), 1e-300))
 
-    flux = flux_identity_check(sol)
+    flux = _flux_identity_check(sol, state.w1y)
     flux_budget = max(1e-4, 10.0 * sol.tail)
     # tail floor 10 x the branch's default tail_tol
     nodal = _nodal_check(sol, 1e-8, fields[1])
     bounds = _prop65_check(sol, state, fields)
-    profile = physical_profile(sol)
+    profile = _physical_profile(sol, state.w1y)
     (eta_x, eta_y), (u, v, e1, e2) = _surface_fields(state)
     # the Bernoulli condition through the field formulas, a redundancy check
     # on the solver residual

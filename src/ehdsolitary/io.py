@@ -38,7 +38,13 @@ def _hex_array(arr) -> dict:
 
 
 def _unhex_array(obj) -> np.ndarray:
-    return np.array([float.fromhex(h) for h in obj["hex"]], dtype=float)
+    hexes = obj["hex"]
+    if not isinstance(hexes, list):
+        raise TypeError("hex entries must be a list of strings")
+    try:
+        return np.fromiter(map(float.fromhex, hexes), float, len(hexes))
+    except TypeError:
+        raise TypeError("hex entries must be strings") from None
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -95,27 +101,36 @@ def save_solution(path, sol: WaveSolution, run_config: dict,
     atomic_write_text(path, json.dumps(doc, indent=1))
 
 
+# The top-level entries load_solution reads, and how each is decoded.
+_SOLUTION_ENTRIES = {"params": params_from_json, "grid": grid_from_json,
+                     "t1": _unhex_array, "residual_norm": _unhex_scalar,
+                     "amplitude": _unhex_scalar, "tail": _unhex_scalar}
+
+
 def load_solution(path):
     """Read a solution document; returns (WaveSolution, run_config, diagnostics).
 
     The record is rebuilt verbatim, including the stored scalar diagnostics;
     re-validation is the diagnose command's job, so a corrupted file still
-    loads and can be inspected.
+    loads and can be inspected.  A document that is not a wave solution, or
+    misses or mangles an entry, raises ValueError naming the file and the
+    entry.
     """
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("kind") != "wave_solution":
+    if not isinstance(doc, dict) or doc.get("kind") != "wave_solution":
         raise ValueError(f"{path} is not a wave-solution document")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {doc.get('format_version')}")
-    sol = WaveSolution(
-        params=params_from_json(doc["params"]),
-        grid=grid_from_json(doc["grid"]),
-        t1=_unhex_array(doc["t1"]),
-        residual_norm=_unhex_scalar(doc["residual_norm"]),
-        amplitude=_unhex_scalar(doc["amplitude"]),
-        tail=_unhex_scalar(doc["tail"]),
-    )
+    entries = {}
+    for key, decode in _SOLUTION_ENTRIES.items():
+        if key not in doc:
+            raise ValueError(f"{path}: missing entry {key!r}")
+        try:
+            entries[key] = decode(doc[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed entry {key!r}: {exc!r}") from exc
+    sol = WaveSolution(**entries)
     return sol, doc.get("run_config", {}), doc.get("diagnostics", {})
 
 

@@ -64,7 +64,8 @@ class NoConvergence(NewtonError):
 
 
 class LeftAdmissibleSet(NewtonError):
-    """The iterate left the admissible set (lambda <= 0)."""
+    """The iterate left the admissible set (lambda <= 0, or stag <= 0 on the
+    surface)."""
 
 
 class SingularLinearSolve(NewtonError):
@@ -264,6 +265,18 @@ def solve_newton_step(t1_or_state, r: np.ndarray, p: Params, g: Grid,
     return _bordered_solver(state, c, c_alpha, cfg, b)(r, n_val)
 
 
+def _past_stagnation(state: SurfaceState) -> bool:
+    """Whether stag = 1 + eps1 - 2 alpha t1 fails to be positive somewhere on
+    the surface.
+
+    lambda squares stag, so it cannot tell an iterate past stagnation from
+    one before it.  Every solution has stag = q^2 + eps1 |E|^2 >= 0 on the
+    surface (q the fluid speed, |E| the field strength), so this test
+    refuses no solution short of the limiting wave.  The interior is left to
+    lambda: internal stagnation points are allowed."""
+    return not np.min(state.stag) > 0
+
+
 def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
                  cfg: NewtonConfig = NewtonConfig(),
                  tangent: tuple | None = None) -> WaveSolution:
@@ -274,8 +287,10 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
     = 0 through the initial point (a: cosine coefficients of the trace), and
     the merit is max(|R|, |row|).  Without a tangent the row is pinned,
     c = 0 and c_alpha = 1, so alpha stays fixed.  Every iterate is
-    re-symmetrized to even; candidates with lambda <= 0, alpha outside
-    (0, alpha_cr) or no merit decrease are rejected by backtracking.
+    re-symmetrized to even; candidates with stag <= 0 on the surface,
+    lambda <= 0, alpha outside (0, alpha_cr) or no merit decrease are
+    rejected by backtracking, and an initial iterate with stag <= 0 or
+    lambda <= 0 is refused.
     Deterministic on the dense path.
 
     Only the dense corrector reuses its linearization: it keeps the LU of
@@ -301,6 +316,8 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
                      + c_alpha * (alpha - alpha0))
 
     state, n_val = SurfaceState(t, p, g), 0.0
+    if _past_stagnation(state):
+        raise LeftAdmissibleSet("initial iterate has stag <= 0 on the surface")
     norm = float(np.max(np.abs(state.residual)))
     history = [norm]
     chord = tangent is not None and _use_dense(cfg, g)
@@ -331,7 +348,7 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
             except NonFiniteTrace:
                 step *= DAMPING
                 continue
-            if state_c.lambda_min <= 0:
+            if _past_stagnation(state_c) or state_c.lambda_min <= 0:
                 step *= DAMPING
                 continue
             saw_admissible = True
@@ -351,7 +368,8 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
             continue
         if not saw_admissible:
             raise LeftAdmissibleSet(
-                "no damped step stays in the admissible set (lambda <= 0)")
+                "no damped step stays in the admissible set "
+                "(lambda <= 0 or stag <= 0 on the surface)")
         raise NoConvergence(
             f"damping stalled at residual {norm:.3e}", best_t1=t, history=history)
 

@@ -45,7 +45,8 @@ class SurfaceState:
 
     w1x = ddx(t1), w1y = dtn(t1), w2y = dtn(t2) with t2 = eliminated_t2(t1);
     stream = gamma (t1 + w1y + t1 w1y) + w2y + 1, gradsq = w1x^2 + (1 + w1y)^2
-    and stag = 1 + eps1 - 2 alpha t1; t1_spectrum is the rfft of t1.  The
+    and stag = 1 + eps1 - 2 alpha t1; t1_spectrum and t2_spectrum are the
+    rffts of t1 and t2.  The
     residual is checked finite on construction.  A Newton iterate builds one
     state, and its lambda, its arclength row and every application of its
     linearization (jacobian_apply) read the state instead of re-deriving the
@@ -57,7 +58,7 @@ class SurfaceState:
         self.t1, self.params, self.grid = t1, p, g
         c, (self.w1x, self.w1y, self.w2y) = surface_fields(
             np.stack([t1, eliminated_t2(t1, p)]), g)
-        self.t1_spectrum = c[0]
+        self.t1_spectrum, self.t2_spectrum = c
         self.stream = p.gamma * (t1 + self.w1y + t1 * self.w1y) + self.w2y + 1.0
         self.gradsq = self.w1x * self.w1x + (1.0 + self.w1y) ** 2
         self.stag = 1.0 + p.eps1 - 2.0 * p.alpha * t1

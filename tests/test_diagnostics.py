@@ -48,6 +48,15 @@ def synthetic_solution(t1, gamma, eps1, alpha, L, n):
                         amplitude=amplitude_of(t1, g), tail=tail_of(t1, g))
 
 
+def unresolved_solution():
+    """eta_y = 1 - 0.5 cos(k4 x) on the surface: 1/Z' decays so slowly in k
+    that twice the grid still aliases the flow-force integrand."""
+    g = make_grid(np.pi * 4, 64)
+    k = g.wavenumbers[4]
+    t1 = -0.5 * np.cos(k * g.x) / dtn_multiplier(np.array([k]))[0]
+    return synthetic_solution(t1, 0.0, 0.5, 1.0, np.pi * 4, 64)
+
+
 def field_identities(sol):
     """(Bernoulli, kinematic, far-field) sup-norms of the surface fields:
     u^2 + v^2 + eps1 (e1^2 + e2^2) + 2 alpha (eta - 1) - (1 + eps1); the
@@ -167,12 +176,7 @@ class TestFlowForce:
             flow_force_profile(small_wave, check=True)  # converged: no warning
 
     def test_padding_check_warns_when_unresolved(self):
-        # eta_y = 1 - 0.5 cos(k4 x) on the surface: 1/Z' decays so slowly in
-        # k that twice the grid still aliases
-        g = make_grid(np.pi * 4, 64)
-        k = g.wavenumbers[4]
-        t1 = -0.5 * np.cos(k * g.x) / dtn_multiplier(np.array([k]))[0]
-        sol = synthetic_solution(t1, 0.0, 0.5, 1.0, np.pi * 4, 64)
+        sol = unresolved_solution()
         with pytest.warns(RuntimeWarning, match="doubling the padding"):
             s = flow_force_profile(sol, check=True)
         with warnings.catch_warnings():
@@ -181,6 +185,24 @@ class TestFlowForce:
         # more padding converges to the quadrature
         fine = _flow_force_all_stations(sol, 8)
         assert np.max(np.abs(fine - reference_flow_force(sol, 64))) < 1e-12
+
+    @pytest.mark.parametrize("wave", [0, 20, 35, 44, 46, 50, 56, "small_wave",
+                                      "rotational_wave", "unresolved"])
+    def test_fold_matches_direct_evaluation(self, wave, request):
+        # the profile folds the spectrum of the integrand on the finer grid
+        # of its check; the direct evaluation on the coarser grid agrees
+        if wave == "unresolved":
+            sol = unresolved_solution()
+            with pytest.warns(RuntimeWarning, match="doubling the padding"):
+                s = flow_force_profile(sol, check=True)
+        elif isinstance(wave, str):
+            sol = request.getfixturevalue(wave)
+            s = flow_force_profile(sol, check=False)
+        else:
+            sol, _, _ = load_solution(FIXTURES / f"point_{wave:05d}.json")
+            s = flow_force_profile(sol, check=False)
+        direct = _flow_force_all_stations(sol, diagnostics.FLOW_FORCE_PAD)
+        assert np.max(np.abs(s - direct)) <= 1e-14
 
 
 class TestFluxIdentity:
@@ -379,11 +401,11 @@ class TestFullReport:
 
     @pytest.mark.parametrize("wave", ["small_wave", "rotational_wave"])
     def test_shared_evaluations(self, wave, request, monkeypatch):
-        # the checks share one SurfaceState, one ddx(t2) and one
-        # harmonic_fields call, and each gives the value of its public
-        # function or, for the field identities, of the formulas
+        # the checks share one SurfaceState and read its fields and spectra,
+        # with no transform of their own, and each gives the value of its
+        # public function or, for the field identities, of the formulas
         sol = request.getfixturevalue(wave)
-        calls = {"state": 0, "ddx": 0, "harmonic_fields": 0}
+        calls = {"state": 0, "dtn": 0, "harmonic_fields": 0}
         init = SurfaceState.__init__
 
         def counting(name, fn):
@@ -393,10 +415,10 @@ class TestFullReport:
             return wrapper
 
         monkeypatch.setattr(SurfaceState, "__init__", counting("state", init))
-        for name in ("ddx", "harmonic_fields"):
+        for name in ("dtn", "harmonic_fields"):
             monkeypatch.setattr(diagnostics, name, counting(name, getattr(diagnostics, name)))
         rep = full_report(sol)
-        assert calls == {"state": 1, "ddx": 1, "harmonic_fields": 1}
+        assert calls == {"state": 1, "dtn": 0, "harmonic_fields": 0}
         monkeypatch.undo()
         assert rep["lambda_min"] == lambda_min(sol.t1, sol.params, sol.grid)
         assert (rep["bernoulli_fields"], rep["kinematic"],
@@ -407,6 +429,13 @@ class TestFullReport:
         assert rep["stream_potential_bounds"] == [
             {"name": c.name, "status": c.status, "worst_margin": c.worst_margin}
             for c in prop65_check(sol).checks]
+        flux = flux_identity_check(sol)
+        assert (rep["flux_identity"]["lhs"], rep["flux_identity"]["rhs"],
+                rep["flux_identity"]["advective"]) == (flux.lhs, flux.rhs, flux.advective)
+        profile = physical_profile(sol)
+        assert rep["profile"] == {"overhang": profile.overhang,
+                                  "min_xi_prime": profile.min_xi_prime,
+                                  "self_intersecting": profile.self_intersecting}
 
 
 class TestLaminarDepthCrossCheck:

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from ehdsolitary.io import (
     write_plot_columns,
 )
 from ehdsolitary.model import ValidationError, WaveSolution
+
+FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,24 @@ class TestSolutionRoundTrip:
         path.write_text(json.dumps({"kind": "other", "format_version": 1}))
         with pytest.raises(ValueError, match="wave-solution"):
             load_solution(path)
+
+
+class TestMalformedSolution:
+    @pytest.mark.parametrize("key,mangle", [
+        ("grid", lambda doc: doc.pop("grid")),
+        ("t1", lambda doc: doc["t1"].update(hex=[1] * len(doc["t1"]["hex"]))),
+    ])
+    def test_diagnose_names_file_and_entry(self, wave, tmp_path, capsys, key, mangle):
+        # a missing entry, or hex entries that are not strings, is a
+        # validation error (exit 1), not a traceback
+        path = tmp_path / "sol.json"
+        save_solution(path, wave, {})
+        doc = json.loads(path.read_text())
+        mangle(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["diagnose", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(key) in err
 
 
 class TestBranchPersistence:
@@ -331,6 +352,17 @@ class TestHexRoundTrip:
             assert np.array_equal(_unhex_array(_hex_array(arr)), arr)
 
         run()
+
+    def test_array_decoding_matches_per_element_oracle(self):
+        from ehdsolitary.io import _hex_array, _unhex_array
+        fixture = json.loads((FIXTURES / "point_00020.json").read_text())["t1"]
+        special = _hex_array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                              -1.7976931348623157e308, np.inf, -np.inf, np.nan])
+        for obj in (fixture, special):
+            oracle = np.array([float.fromhex(h) for h in obj["hex"]], dtype=float)
+            decoded = _unhex_array(obj)
+            assert decoded.dtype == oracle.dtype
+            assert decoded.tobytes() == oracle.tobytes()
 
 
 def test_solve_convergence_failure_maps_to_exit_3(monkeypatch, tmp_path):

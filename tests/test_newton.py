@@ -184,6 +184,46 @@ class TestAdmissibleSet:
         with pytest.raises(LeftAdmissibleSet):
             newton_solve(t0, p, g, NewtonConfig())
 
+    def test_initializer_past_stagnation_rejected(self):
+        # lambda squares the stagnation factor, so it stays positive on this
+        # trace although stag = 1 + eps1 - 2 alpha t1 = -0.1 at the crest
+        from ehdsolitary import LeftAdmissibleSet
+        g = make_grid(np.pi * 4, 64)
+        t0 = 0.8 * np.cos(g.wavenumbers[1] * g.x)
+        p = make_params(0.0, 0.5, 1.0)
+        state = system.SurfaceState(t0, p, g)
+        assert np.min(state.stag) == pytest.approx(-0.1)
+        assert system.lambda_min(t0, p, g) == pytest.approx(5.9e-3, rel=0.05)
+        with pytest.raises(LeftAdmissibleSet, match="stag <= 0"):
+            newton_solve(t0, p, g, NewtonConfig())
+
+    def test_damped_step_past_stagnation_rejected(self, setup, monkeypatch):
+        # an admissible start whose every damped candidate is past
+        # stagnation on the surface: each is refused before its lambda is read
+        from ehdsolitary import LeftAdmissibleSet
+        base, g = setup
+        t0, p = init_small(0.01, base, g)
+        init = system.SurfaceState.__init__
+        built, read = [], []
+        state_lambda = system.SurfaceState.lambda_min
+
+        def past_stagnation(state, *args):
+            init(state, *args)
+            if built:                   # every state after the initial one
+                state.stag = np.where(state.t1 == state.t1.max(), -1e-3, state.stag)
+            built.append(state)
+
+        def reading_lambda(state):
+            read.append(state)
+            return state_lambda.__get__(state, type(state))
+
+        monkeypatch.setattr(system.SurfaceState, "__init__", past_stagnation)
+        monkeypatch.setattr(system.SurfaceState, "lambda_min", property(reading_lambda))
+        with pytest.raises(LeftAdmissibleSet, match="no damped step"):
+            newton_solve(t0, p, g, NewtonConfig())
+        assert len(built) == 1 + 1 - int(np.log2(newton.MIN_STEP))
+        assert read == []
+
     def test_no_admissible_damped_step(self, setup, monkeypatch):
         # an admissible start whose every damped candidate has lambda <= 0
         from ehdsolitary import LeftAdmissibleSet
