@@ -38,7 +38,7 @@ from .model import (
 )
 from .newton import NewtonConfig, NewtonError, newton_solve
 from .spectral import cosine_coefficients, values_from_cosine
-from .system import lambda_min, surface_gradient_bounds
+from .system import SurfaceState
 
 STOP_REASONS = (
     "M1_VANISHING", "M2_VANISHING", "M3_BLOWUP", "FROUDE_BLOWUP",
@@ -307,13 +307,15 @@ def continue_branch(p0: BaseParams, g: Grid,
         """Record a converged point; returns False when the branch must stop."""
         nonlocal s_val, prev, secant, stop_reason, note
         p = sol.params
-        m1, m2, m3 = surface_gradient_bounds(sol.t1, p, sol.grid)
-        lam = lambda_min(sol.t1, p, sol.grid)
+        # one state serves the monitors, lambda and the nodal check
+        state = SurfaceState(sol.t1, p, sol.grid)
+        m1, m2, m3 = state.monitors
+        lam = state.lambda_min
         if not p.alpha < p.alpha_cr:
             stop_reason = "STEP_FAILURE"
             note = "defect: accepted parameters left the subcritical regime"
             return False
-        nod = nodal_check(sol, tail_floor=10.0 * cfg.tail_tol)
+        nod = nodal_check(state, tail_floor=10.0 * cfg.tail_tol)
         if not nod.passed:
             stop_reason = "STEP_FAILURE"
             note = (f"defect: nodal monotonicity failed at "

@@ -3,7 +3,10 @@ velocity/electric surface fields, flow-force invariance, the integral flux
 identity, the subcritical speed bound, nodal monotonicity, laminar-stream
 bounds, and the physical surface profile with overhang detection.
 
-All checks are read-only over a solution snapshot.
+All checks are read-only over a solution snapshot.  Each takes a
+WaveSolution or its SurfaceState and reads the state's fields: a caller
+that runs several checks on one solution builds the state once and passes
+it to each.
 """
 from __future__ import annotations
 
@@ -12,11 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import WaveSolution, symmetry_error
-from .spectral import (_cosh_ratio, _fields_from_spectrum, conjugate_primitive, dtn,
-                       harmonic_fields)
-from .system import (INTERIOR_LEVELS, SurfaceState, _lambda_of_fields, eliminated_t2,
-                     surface_gradient_bounds)
+from .model import WaveSolution, symmetry_error, tail_of
+from .spectral import _cosh_ratio, conjugate_primitive
+from .system import INTERIOR_LEVELS, SurfaceState, eliminated_t2
 
 FLOW_FORCE_PAD = 2          # zero-padding factor of the flow-force integrand
 NODAL_NOISE_FACTOR = 10.0   # slope noise floor over the top-band ripple
@@ -29,37 +30,41 @@ class DegenerateJacobian(ArithmeticError):
     """|grad eta|^2 fell below 1e-14 somewhere; field formulas are unusable."""
 
 
-def _surface_fields(state: SurfaceState):
-    """((eta_x, eta_y), (u, v, e1, e2)) on the surface.  eta_x, eta_y, zeta_y
-    and |grad eta|^2 come from the solution's SurfaceState; only
-    zeta_x = ddx(t2) is transformed here, from the state's spectrum of t2."""
+def _state_of(sol) -> SurfaceState:
+    """The SurfaceState of a WaveSolution, or sol itself if it is one."""
+    if isinstance(sol, SurfaceState):
+        return sol
+    return SurfaceState(sol.t1, sol.params, sol.grid)
+
+
+def gamma_field_arrays(sol):
+    """Velocity and electric components on the surface as arrays (u, v, e1, e2),
+    at a WaveSolution or its SurfaceState.
+
+    With the electric potential equal to the vertical coordinate in conformal
+    variables, e1 = -eta_x/|grad eta|^2 and e2 = eta_y/|grad eta|^2.  eta_x,
+    eta_y, zeta_y and |grad eta|^2 are the state's; only zeta_x = ddx(t2) is
+    transformed, from the state's spectrum of t2, and not at gamma = 0,
+    where t2 is identically zero.
+    """
+    state = _state_of(sol)
     p, g, t1 = state.params, state.grid, state.t1
     gradsq = state.gradsq
     if np.min(gradsq) < 1e-14:
         raise DegenerateJacobian(
             f"|grad eta|^2 reaches {np.min(gradsq):.3e} on the surface")
     eta_x, eta_y = state.w1x, 1.0 + state.w1y
-    zeta_x = np.fft.irfft(state.t2_spectrum * g.ddx_symbol, n=g.n_points)
+    zeta_x = (np.fft.irfft(state.t2_spectrum * g.ddx_symbol, n=g.n_points)
+              if p.gamma != 0.0 else 0.0)
     zeta_y = (1.0 - p.gamma) + state.w2y
     u = (eta_x * zeta_x + eta_y * zeta_y) / gradsq + p.gamma * (1.0 + t1)
     v = (eta_x * zeta_y - eta_y * zeta_x) / gradsq
-    e1 = -eta_x / gradsq
-    e2 = eta_y / gradsq
-    return (eta_x, eta_y), (u, v, e1, e2)
-
-
-def gamma_field_arrays(sol: WaveSolution):
-    """Velocity and electric components on the surface as arrays (u, v, e1, e2).
-
-    With the electric potential equal to the vertical coordinate in conformal
-    variables, e1 = -eta_x/|grad eta|^2 and e2 = eta_y/|grad eta|^2.
-    """
-    return _surface_fields(SurfaceState(sol.t1, sol.params, sol.grid))[1]
+    return u, v, -eta_x / gradsq, eta_y / gradsq
 
 
 # --- flow force ---------------------------------------------------------------
 
-def _flow_force_spectra(sol: WaveSolution, pad: int):
+def _flow_force_spectra(sol, pad: int):
     """The DFT of the flow-force integrand on a pad-times zero-padded grid of
     the same box, n = pad N samples: the rfft of G on the bottom, where G is
     real, and the full fft of conj(G) on the surface.
@@ -92,7 +97,7 @@ def _flow_force_spectra(sol: WaveSolution, pad: int):
     return bottom, np.fft.fft((f * f + p.eps1) / (2.0 * z))
 
 
-def _flow_force_stations(sol: WaveSolution, h: np.ndarray, pad: int) -> np.ndarray:
+def _flow_force_stations(sol, h: np.ndarray, pad: int) -> np.ndarray:
     """Flow force at every station from h, mode k of the integrand on the
     bottom plus mode k of its conjugate on the surface (k = 0 .. pad N / 2),
     on the pad-times grid; h is overwritten.
@@ -120,7 +125,7 @@ def _flow_force_stations(sol: WaveSolution, h: np.ndarray, pad: int) -> np.ndarr
     return total - boundary
 
 
-def _flow_force_all_stations(sol: WaveSolution, pad: int) -> np.ndarray:
+def _flow_force_all_stations(sol, pad: int) -> np.ndarray:
     """Flow force at every station, with the integral over the strip height
     in closed form, from the integrand on a pad-times zero-padded grid."""
     bottom, surface = _flow_force_spectra(sol, pad)
@@ -128,8 +133,9 @@ def _flow_force_all_stations(sol: WaveSolution, pad: int) -> np.ndarray:
     return _flow_force_stations(sol, bottom, pad)
 
 
-def flow_force_profile(sol: WaveSolution, check: bool = True) -> np.ndarray:
-    """Flow force at all stations, its integrand evaluated once, on a
+def flow_force_profile(sol, check: bool = True) -> np.ndarray:
+    """Flow force at all stations, at a WaveSolution or its SurfaceState
+    (only t1, params and grid are read), its integrand evaluated once, on a
     2 FLOW_FORCE_PAD-times zero-padded grid.
 
     The result is that of the FLOW_FORCE_PAD-times grid, whose samples are
@@ -155,7 +161,7 @@ def flow_force_profile(sol: WaveSolution, check: bool = True) -> np.ndarray:
     return s
 
 
-def flow_force(sol: WaveSolution, x: float, check: bool = True) -> float:
+def flow_force(sol, x: float, check: bool = True) -> float:
     """Flow force at the station nearest to x (x must lie inside the box)."""
     g = sol.grid
     if not -g.half_length <= x <= g.half_length:
@@ -171,14 +177,14 @@ class IdentityReport:
     lhs: float
     rhs: float
     rel_gap: float
-    tail: float                 # truncation budget for the o(1) remainder
+    tail: float                 # truncation budget for the o(1) remainder (tail_of)
     advective: float            # integral of w1 * w1y over the surface
     advective_positive: bool
 
 
-def flux_identity_check(sol: WaveSolution) -> IdentityReport:
+def flux_identity_check(sol) -> IdentityReport:
     """Integral identity balancing the subcritical excess against quadratic
-    and cubic profile moments:
+    and cubic profile moments, at a WaveSolution or its SurfaceState:
 
         (1 - gamma + eps1 - alpha) I[w1]
             = alpha I[w1 w1y] + (alpha + gamma^2)/2 I[w1^2] + gamma^2/6 I[w1^3]
@@ -186,22 +192,18 @@ def flux_identity_check(sol: WaveSolution) -> IdentityReport:
     up to a remainder controlled by the truncation tail.  The advective
     moment I[w1 w1y] must be positive for nontrivial waves.
     """
-    return _flux_identity_check(sol, dtn(sol.t1, sol.grid))
-
-
-def _flux_identity_check(sol: WaveSolution, w1y: np.ndarray) -> IdentityReport:
-    """flux_identity_check with w1y = dtn(t1) given."""
-    p, g, t1 = sol.params, sol.grid, sol.t1
+    state = _state_of(sol)
+    p, g, t1 = state.params, state.grid, state.t1
     h = g.spacing
     integral = lambda f: float(h * np.sum(f))
     lhs = (1.0 - p.gamma + p.eps1 - p.alpha) * integral(t1)
-    advective = integral(t1 * w1y)
+    advective = integral(t1 * state.w1y)
     rhs = (p.alpha * advective
            + 0.5 * (p.alpha + p.gamma ** 2) * integral(t1 * t1)
            + p.gamma ** 2 / 6.0 * integral(t1 ** 3))
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return IdentityReport(
-        lhs=lhs, rhs=rhs, rel_gap=abs(lhs - rhs) / scale, tail=sol.tail,
+        lhs=lhs, rhs=rhs, rel_gap=abs(lhs - rhs) / scale, tail=tail_of(t1, g),
         advective=advective, advective_positive=advective > 0.0)
 
 
@@ -215,10 +217,11 @@ class NodalReport:
     noise_floor: float = 0.0
 
 
-def nodal_check(sol: WaveSolution, tail_floor: float = 1e-8) -> NodalReport:
+def nodal_check(sol, tail_floor: float = 1e-8) -> NodalReport:
     """Strict decrease of the surface unknown on 0 < x < x_tail, on the
     surface and at the INTERIOR_LEVELS heights, where x_tail bounds the region
-    with |t1| above tail_floor.  Report-only; violations are listed.
+    with |t1| above tail_floor, at a WaveSolution or its SurfaceState (the
+    slopes are its level_fields).  Report-only; violations are listed.
 
     Strictness is measured against the numerical noise in the slope: the top
     20% of the wavenumber band carries the spectral-truncation ripple, so
@@ -227,23 +230,8 @@ def nodal_check(sol: WaveSolution, tail_floor: float = 1e-8) -> NodalReport:
     On well-resolved waves that floor sits at rounding level, i.e. the check
     is the strict sign test.
     """
-    return _nodal_check(
-        sol, tail_floor, harmonic_fields(sol.t1, sol.grid, (1.0,) + INTERIOR_LEVELS)[1])
-
-
-def _level_fields(state: SurfaceState):
-    """harmonic_fields of the state's t1 at y = 1 and the INTERIOR_LEVELS:
-    the state's own surface row, then the interior rows from its spectrum
-    of t1."""
-    interior = _fields_from_spectrum(state.t1_spectrum, state.t1, state.grid,
-                                     INTERIOR_LEVELS)
-    return tuple(np.concatenate([surface[None], rows]) for surface, rows
-                 in zip((state.t1, state.w1x, state.w1y), interior))
-
-
-def _nodal_check(sol: WaveSolution, tail_floor: float, slopes) -> NodalReport:
-    """nodal_check with the slopes w_x at y = 1 and the INTERIOR_LEVELS given."""
-    g, t1 = sol.grid, sol.t1
+    state = _state_of(sol)
+    g, t1 = state.grid, state.t1
     x = g.x
     above = (x > 0) & (np.abs(t1) > tail_floor)
     if not np.any(above):
@@ -252,6 +240,7 @@ def _nodal_check(sol: WaveSolution, tail_floor: float, slopes) -> NodalReport:
     window = (x > 0) & (x < x_tail)
 
     heights = (1.0,) + INTERIOR_LEVELS
+    slopes = state.level_fields[1]
     t1x = slopes[0]
     coeffs = np.fft.rfft(t1x)
     coeffs[: int(0.8 * len(coeffs))] = 0.0
@@ -315,8 +304,9 @@ def _self_intersection_scan(X: np.ndarray, Y: np.ndarray) -> bool:
     return False
 
 
-def physical_profile(sol: WaveSolution) -> ProfileReport:
-    """Physical free surface (X(x), Y(x)) recovered from the conformal trace.
+def physical_profile(sol) -> ProfileReport:
+    """Physical free surface (X(x), Y(x)) recovered from the conformal trace,
+    at a WaveSolution or its SurfaceState.
 
     X integrates X_x = eta_y: the mean m of eta_y - 1 (the wave's mass over
     2L) stretches the box coordinate, and the conjugate primitive adds the
@@ -325,13 +315,9 @@ def physical_profile(sol: WaveSolution) -> ProfileReport:
     stretch xi_x = eta_y becomes negative anywhere; self-intersection of an
     overhanging profile is reported, not rejected.
     """
-    return _physical_profile(sol, dtn(sol.t1, sol.grid))
-
-
-def _physical_profile(sol: WaveSolution, w1y: np.ndarray) -> ProfileReport:
-    """physical_profile with w1y = dtn(t1) given."""
-    g, t1 = sol.grid, sol.t1
-    eta_y = 1.0 + w1y
+    state = _state_of(sol)
+    g, t1 = state.grid, state.t1
+    eta_y = 1.0 + state.w1y
     m = float(np.mean(eta_y - 1.0))
     X = (1.0 + m) * g.x + conjugate_primitive(eta_y - 1.0 - m, g)
     Y = 1.0 + t1
@@ -366,22 +352,17 @@ def _bound_status(worst: float, tol: float) -> str:
     return "degenerate-equality" if worst >= -tol else "fail"
 
 
-def prop65_check(sol: WaveSolution) -> BoundsReport:
+def prop65_check(sol) -> BoundsReport:
     """Pointwise bounds on the vertical derivatives of the stream-like and
-    potential-like harmonic quantities on the surface.
+    potential-like harmonic quantities on the surface, at a WaveSolution or
+    its SurfaceState.
 
     The potential derivative equals 1 identically in conformal variables, and
     the stream bound collapses to an equality for zero vorticity; both are
     reported as degenerate-equality rather than failure.
     """
-    state = SurfaceState(sol.t1, sol.params, sol.grid)
-    return _prop65_check(sol, state, _level_fields(state))
-
-
-def _prop65_check(sol: WaveSolution, state: SurfaceState, fields) -> BoundsReport:
-    """prop65_check from the solution's state and its fields at y = 1 and
-    the INTERIOR_LEVELS."""
-    p = sol.params
+    state = _state_of(sol)
+    p = state.params
     # potential derivative: exactly 1 by construction
     checks = [BoundCheck(name="theta_y vs 1", status="degenerate-equality",
                          worst_margin=0.0)]
@@ -400,7 +381,7 @@ def _prop65_check(sol: WaveSolution, state: SurfaceState, fields) -> BoundsRepor
                                  worst_margin=worst))
 
     if p.gamma >= 0:
-        _, gx, gy = fields
+        _, gx, gy = state.level_fields
         grad_inf = float(np.min(gx ** 2 + (1.0 + gy) ** 2))
         bound = min(2.0 - p.gamma + 2.0 * p.eps1, p.gamma * grad_inf)
         worst = float(np.min(psi_y - bound))
@@ -416,33 +397,31 @@ def _prop65_check(sol: WaveSolution, state: SurfaceState, fields) -> BoundsRepor
 def full_report(sol: WaveSolution) -> dict:
     """Every check on one solution, as a JSON-friendly nested dict.  Used by
     the diagnose command; hard invariants carry an 'ok' flag.  The
-    solution's SurfaceState is built once: the checks read its surface
-    fields, and the velocity and electric fields and the fields at y = 1
-    and the INTERIOR_LEVELS come from its spectra, so every trace is
-    transformed forward once."""
+    solution's SurfaceState is built once and every check is called with
+    it, so every trace is transformed forward once."""
     p, g = sol.params, sol.grid
     state = SurfaceState(sol.t1, p, g)
     rnorm = float(np.max(np.abs(state.residual)))
     sym = symmetry_error(sol.t1)
-    fields = _level_fields(state)
-    lam = _lambda_of_fields(*fields, p)
-    m1, m2, m3 = surface_gradient_bounds(state, p, g)
+    lam = state.lambda_min
+    m1, m2, m3 = state.monitors
     nontrivial = float(np.max(np.abs(sol.t1))) > 1e-12
 
     idx = np.linspace(0, g.n_points - 1, REPORT_STATIONS).astype(int)
     stations = g.x[idx]
-    s_vals = flow_force_profile(sol, check=True)
+    s_vals = flow_force_profile(state, check=True)
     s_at_stations = s_vals[idx]
     s_ref = float(s_vals[g.n_points // 2])        # station at the crest x = 0
     spread = float(np.max(np.abs(s_at_stations - s_ref)) / max(abs(s_ref), 1e-300))
 
-    flux = _flux_identity_check(sol, state.w1y)
+    flux = flux_identity_check(state)
     flux_budget = max(1e-4, 10.0 * sol.tail)
     # tail floor 10 x the branch's default tail_tol
-    nodal = _nodal_check(sol, 1e-8, fields[1])
-    bounds = _prop65_check(sol, state, fields)
-    profile = _physical_profile(sol, state.w1y)
-    (eta_x, eta_y), (u, v, e1, e2) = _surface_fields(state)
+    nodal = nodal_check(state, 1e-8)
+    bounds = prop65_check(state)
+    profile = physical_profile(state)
+    u, v, e1, e2 = gamma_field_arrays(state)
+    eta_x, eta_y = state.w1x, 1.0 + state.w1y
     # the Bernoulli condition through the field formulas, a redundancy check
     # on the solver residual
     bern = float(np.max(np.abs(u * u + v * v + p.eps1 * (e1 * e1 + e2 * e2)

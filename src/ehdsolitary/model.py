@@ -218,8 +218,11 @@ class WaveSolution:
 class BranchPoint:
     """One accepted continuation record with the limit monitors.
 
-    monitor_m1 : inf over the surface of (1 + eps1 - 2 alpha t1), the
-                 stagnation/extreme-wave indicator
+    monitor_m1 : inf over the surface of stag = 1 + eps1 - 2 alpha t1.  On
+                 a solution stag = q^2 + eps1 |E|^2, q the fluid speed and
+                 |E| = 1/|grad eta| the field strength at the surface, so
+                 for eps1 > 0 it vanishes only with q -> 0 and
+                 |grad eta| -> infinity together
     monitor_m2 : inf over the surface of |grad eta|
     monitor_m3 : sup over the surface of |grad eta|
     """

@@ -17,11 +17,11 @@ basis traces.  The GMRES preconditioner freezes J's principal coefficient:
 a pointwise factor in x-space, then the uniform-stream multiplier; GMRES
 gives up after KRYLOV_MAXITER restarts, so a stagnating solve fails fast.
 
-Each damped candidate is one SurfaceState, which gives both its lambda and
-its residual; an accepted candidate's state is handed to the dense
-assembly, the preconditioner and every GMRES matvec, so none of them
-re-derives the base fields of the iterate, and the converged state gives
-the solution's residual.
+Each iterate, the initial one and every damped candidate, is one
+SurfaceState, which gives both its lambda and its residual; an accepted
+candidate's state is handed to the dense assembly, the preconditioner and
+every GMRES matvec, so none of them re-derives the base fields of the
+iterate, and the converged state gives the solution's residual.
 """
 from __future__ import annotations
 
@@ -38,7 +38,6 @@ from .system import (
     NonFiniteTrace,
     SurfaceState,
     jacobian_apply,
-    lambda_min,
     linear_multiplier,
 )
 
@@ -277,6 +276,15 @@ def _past_stagnation(state: SurfaceState) -> bool:
     return not np.min(state.stag) > 0
 
 
+def _iterate_lambda(state: SurfaceState) -> float:
+    """The state's lambda, with the level fields it is read from dropped: an
+    iterate's state lives through its Newton step, which reads none of them
+    (12 N doubles a state)."""
+    lam = state.lambda_min
+    vars(state).pop("level_fields", None)
+    return lam
+
+
 def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
                  cfg: NewtonConfig = NewtonConfig(),
                  tangent: tuple | None = None) -> WaveSolution:
@@ -306,8 +314,14 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
         raise NewtonError(
             f"alpha={p.alpha} is not below alpha_cr={p.alpha_cr}; no solitary regime")
     t = symmetrize(np.array(t1_init, dtype=float))
-    if not lambda_min(t, p, g) > 0:
+    try:
+        state = SurfaceState(t, p, g)
+    except NonFiniteTrace:
+        state = None            # a non-finite iterate, whose lambda is nan
+    if state is None or not _iterate_lambda(state) > 0:
         raise LeftAdmissibleSet("initial iterate has lambda <= 0")
+    if _past_stagnation(state):
+        raise LeftAdmissibleSet("initial iterate has stag <= 0 on the surface")
     c, c_alpha = (np.zeros(g.n_modes), 1.0) if tangent is None else tangent
     a0, alpha0 = cosine_coefficients(t, g), p.alpha
 
@@ -315,9 +329,7 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
         return float(c @ (t_spectrum.real * g.cosine_weights - a0)
                      + c_alpha * (alpha - alpha0))
 
-    state, n_val = SurfaceState(t, p, g), 0.0
-    if _past_stagnation(state):
-        raise LeftAdmissibleSet("initial iterate has stag <= 0 on the surface")
+    n_val = 0.0
     norm = float(np.max(np.abs(state.residual)))
     history = [norm]
     chord = tangent is not None and _use_dense(cfg, g)
@@ -348,7 +360,7 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
             except NonFiniteTrace:
                 step *= DAMPING
                 continue
-            if _past_stagnation(state_c) or state_c.lambda_min <= 0:
+            if _past_stagnation(state_c) or _iterate_lambda(state_c) <= 0:
                 step *= DAMPING
                 continue
             saw_admissible = True

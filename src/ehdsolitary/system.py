@@ -9,9 +9,11 @@ and its normal derivative vanish identically.  The three-component form,
 which keeps both as unknowns, is a test oracle (tests/three_component.py).
 
 SurfaceState holds the surface fields of one iterate, its residual, its
-admissibility quantity lambda and the pointwise coefficients of the
-linearization, so that the residual, lambda, the alpha derivative and every
-Jacobian application at that iterate share one evaluation of the base state.
+fields at the interior heights, its admissibility quantity lambda, its
+limit monitors and the pointwise coefficients of the linearization, so that
+the residual, lambda, the alpha derivative, every Jacobian application and
+every diagnostic check at that iterate share one evaluation of the base
+state.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .model import Grid, Params
-from .spectral import (INTERIOR_LEVELS, _fields_from_spectrum, dtn_multiplier,
-                       surface_fields)
+from .spectral import (CACHED_LEVELS, INTERIOR_LEVELS, _fields_from_spectrum,
+                       dtn_multiplier, harmonic_fields, surface_fields)
 
 
 class NonFiniteTrace(ArithmeticError):
@@ -46,11 +48,11 @@ class SurfaceState:
     w1x = ddx(t1), w1y = dtn(t1), w2y = dtn(t2) with t2 = eliminated_t2(t1);
     stream = gamma (t1 + w1y + t1 w1y) + w2y + 1, gradsq = w1x^2 + (1 + w1y)^2
     and stag = 1 + eps1 - 2 alpha t1; t1_spectrum and t2_spectrum are the
-    rffts of t1 and t2.  The
-    residual is checked finite on construction.  A Newton iterate builds one
-    state, and its lambda, its arclength row and every application of its
-    linearization (jacobian_apply) read the state instead of re-deriving the
-    fields.
+    rffts of t1 and t2.  The residual is checked finite on construction.  A
+    Newton iterate builds one state, and its lambda, its arclength row and
+    every application of its linearization (jacobian_apply) read the state
+    instead of re-deriving the fields; so do an accepted branch point's
+    monitors, lambda and nodal check, and every check of the diagnostics.
     """
 
     def __init__(self, t1: np.ndarray, p: Params, g: Grid):
@@ -77,11 +79,28 @@ class SurfaceState:
         return base
 
     @cached_property
+    def level_fields(self):
+        """(w, w_x, w_y) of the harmonic extension of t1 at y = 1 and the
+        INTERIOR_LEVELS, each of shape (1 + len(INTERIOR_LEVELS), N): the
+        surface row is the state's own, the interior rows one inverse
+        transform of t1_spectrum."""
+        interior = _fields_from_spectrum(self.t1_spectrum, self.t1, self.grid,
+                                         INTERIOR_LEVELS)
+        return tuple(np.concatenate([surface[None], rows]) for surface, rows
+                     in zip((self.t1, self.w1x, self.w1y), interior))
+
+    @cached_property
     def lambda_min(self) -> float:
-        """The admissibility quantity (module lambda_min) of t1; the interior
-        rows are one inverse transform of the kept spectrum of t1."""
-        return _lambda_min(self.t1, self.t1_spectrum, self.w1x, self.w1y,
-                           self.params, self.grid)
+        """The admissibility quantity (module lambda_min) of t1, from
+        level_fields."""
+        return _lambda_of_fields(*self.level_fields, self.params)
+
+    @property
+    def monitors(self):
+        """(m1, m2, m3): inf stag = inf (1 + eps1 - 2 alpha t1) and the
+        (inf, sup) of |grad eta| on the surface."""
+        grad = np.sqrt(self.gradsq)
+        return float(np.min(self.stag)), float(np.min(grad)), float(np.max(grad))
 
     @property
     def alpha_derivative(self) -> np.ndarray:
@@ -158,32 +177,14 @@ def dispersion_root(p: Params):
 def lambda_min(t1: np.ndarray, p: Params, g: Grid) -> float:
     """Admissibility quantity: inf of 4 (1 + eps1 - 2 alpha w1)^2 |grad eta|^2
     sampled on the surface and at the INTERIOR_LEVELS heights; the same
-    value as SurfaceState(t1, p, g).lambda_min, without the residual."""
-    t1 = np.asarray(t1, dtype=float)
-    c, (w1x, w1y) = surface_fields(t1[None], g)
-    return _lambda_min(t1, c[0], w1x, w1y, p, g)
-
-
-def _lambda_min(t1, t1_spectrum, w1x, w1y, p: Params, g: Grid) -> float:
-    """lambda_min from the surface row (t1, w1x, w1y) and the INTERIOR_LEVELS
-    rows, which are one stacked inverse transform of t1's spectrum."""
-    interior = _fields_from_spectrum(t1_spectrum, t1, g, INTERIOR_LEVELS)
-    # np.min, unlike min, keeps a nan, which the Newton loop reads as "not > 0"
-    return float(np.min([_lambda_of_fields(t1, w1x, w1y, p),
-                         _lambda_of_fields(*interior, p)]))
+    value as SurfaceState(t1, p, g).lambda_min, without the residual, so a
+    non-finite t1 gives nan rather than NonFiniteTrace."""
+    return _lambda_of_fields(*harmonic_fields(t1, g, CACHED_LEVELS), p)
 
 
 def _lambda_of_fields(w, w_x, w_y, p: Params) -> float:
     """inf of 4 (1 + eps1 - 2 alpha w)^2 (w_x^2 + (1 + w_y)^2) over the
     sampled harmonic extension w of t1 and its derivatives."""
     val = 4.0 * (1.0 + p.eps1 - 2.0 * p.alpha * w) ** 2 * (w_x ** 2 + (1.0 + w_y) ** 2)
+    # np.min, unlike min, keeps a nan: a non-finite t1 has lambda nan, not > 0
     return float(np.min(val))
-
-
-def surface_gradient_bounds(base, p: Params, g: Grid):
-    """(inf, sup) of |grad eta| on the surface, plus the stagnation monitor
-    inf (1 + eps1 - 2 alpha t1), at a trace or its SurfaceState (see
-    jacobian_apply).  Returns (m1, m2, m3)."""
-    state = SurfaceState.of(base, p, g)
-    grad = np.sqrt(state.gradsq)
-    return float(np.min(state.stag)), float(np.min(grad)), float(np.max(grad))

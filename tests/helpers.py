@@ -20,11 +20,12 @@ def random_even_trace(g, rng, n_modes=12, scale=1.0, decay=0.5):
     return t
 
 
-def count_transforms(monkeypatch):
-    """Counter of numpy.fft.rfft and numpy.fft.irfft calls from now on,
-    keyed by function name; counts only functions that were called."""
+def count_transforms(monkeypatch, names=("rfft", "irfft")):
+    """Counter of calls of the numpy.fft functions names (rfft and irfft by
+    default) from now on, keyed by function name; counts only functions that
+    were called."""
     calls = {}
-    for name in ("rfft", "irfft"):
+    for name in names:
         original = getattr(np.fft, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):

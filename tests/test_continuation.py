@@ -27,6 +27,7 @@ from ehdsolitary.continuation import (
     widen_grid,
 )
 from ehdsolitary.spectral import cosine_coefficients
+from ehdsolitary.system import SurfaceState
 from helpers import random_even_trace
 
 
@@ -185,6 +186,27 @@ class TestContinueBranch:
         br, _ = short_branch
         for s in br.solutions:
             assert nodal_check(s).passed
+
+    def test_nodal_check_reads_the_recorded_state(self, monkeypatch):
+        # accept builds one SurfaceState per point: its monitors and lambda
+        # go into the BranchPoint, and nodal_check is given that state with
+        # the level fields that lambda evaluated
+        seen = []
+
+        def recording(state, **kwargs):
+            seen.append((state, "level_fields" in vars(state)))
+            return nodal_check(state, **kwargs)
+
+        monkeypatch.setattr(continuation, "nodal_check", recording)
+        g = make_grid(_auto_half_length(1e-3, 0.5), 512)
+        br = continue_branch(BaseParams(0.4, 0.5), g, ContinuationConfig(max_points=4))
+        assert len(seen) == len(br.points) == 4
+        for (state, evaluated), point, sol in zip(seen, br.points, br.solutions):
+            assert isinstance(state, SurfaceState) and evaluated
+            assert state.t1 is sol.t1
+            assert vars(state)["lambda_min"] == point.lambda_min
+            assert state.monitors == (point.monitor_m1, point.monitor_m2,
+                                      point.monitor_m3)
 
     def test_thresholds_recorded(self, short_branch):
         br, base = short_branch

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -30,7 +31,7 @@ from ehdsolitary.newton import build_solution
 from ehdsolitary.spectral import dtn, dtn_multiplier, harmonic_fields
 from ehdsolitary.system import INTERIOR_LEVELS, SurfaceState
 
-from helpers import reference_flow_force
+from helpers import count_transforms, reference_flow_force
 
 FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
@@ -399,26 +400,31 @@ class TestFullReport:
         assert "residual_ok" in bad_keys
         assert "bernoulli_ok" in bad_keys
 
-    @pytest.mark.parametrize("wave", ["small_wave", "rotational_wave"])
-    def test_shared_evaluations(self, wave, request, monkeypatch):
+    @pytest.mark.parametrize("wave, transforms", [
+        # the state (1 rfft, 1 irfft) and its level fields (1 irfft); the
+        # flow force (2 rfft, 1 fft, 5 irfft at gamma = 0, 7 else); the nodal
+        # ripple and the conjugate primitive (1 rfft, 1 irfft each); zeta_x
+        # (1 irfft), which gamma = 0 skips
+        ("small_wave", {"rfft": 5, "irfft": 9, "fft": 1}),
+        ("rotational_wave", {"rfft": 5, "irfft": 12, "fft": 1}),
+    ], ids=["small_wave", "rotational_wave"])
+    def test_shared_evaluations(self, wave, transforms, request, monkeypatch):
         # the checks share one SurfaceState and read its fields and spectra,
-        # with no transform of their own, and each gives the value of its
-        # public function or, for the field identities, of the formulas
+        # and each gives the value of its public function at the solution
+        # or, for the field identities, of the formulas
         sol = request.getfixturevalue(wave)
-        calls = {"state": 0, "dtn": 0, "harmonic_fields": 0}
+        states = []
         init = SurfaceState.__init__
 
-        def counting(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+        def counting_init(self, *args):
+            states.append(self)
+            init(self, *args)
 
-        monkeypatch.setattr(SurfaceState, "__init__", counting("state", init))
-        for name in ("dtn", "harmonic_fields"):
-            monkeypatch.setattr(diagnostics, name, counting(name, getattr(diagnostics, name)))
+        monkeypatch.setattr(SurfaceState, "__init__", counting_init)
+        calls = count_transforms(monkeypatch, ("rfft", "irfft", "fft"))
         rep = full_report(sol)
-        assert calls == {"state": 1, "dtn": 0, "harmonic_fields": 0}
+        assert len(states) == 1
+        assert calls == transforms
         monkeypatch.undo()
         assert rep["lambda_min"] == lambda_min(sol.t1, sol.params, sol.grid)
         assert (rep["bernoulli_fields"], rep["kinematic"],
@@ -436,6 +442,40 @@ class TestFullReport:
         assert rep["profile"] == {"overhang": profile.overhang,
                                   "min_xi_prime": profile.min_xi_prime,
                                   "self_intersecting": profile.self_intersecting}
+
+
+def bitwise_equal(a, b) -> bool:
+    """a and b equal field by field, arrays byte for byte."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            bitwise_equal(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(bitwise_equal, a, b))
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
+
+
+@pytest.mark.parametrize("check", [
+    flux_identity_check, nodal_check, physical_profile, prop65_check,
+    gamma_field_arrays, flow_force_profile], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("wave", ["small_wave", "rotational_wave"])
+def test_check_at_solution_and_at_its_state(check, wave, request, monkeypatch):
+    # a check given the state reads it and builds none of its own
+    sol = request.getfixturevalue(wave)
+    state = SurfaceState(sol.t1, sol.params, sol.grid)
+    init = SurfaceState.__init__
+    built = []
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(SurfaceState, "__init__", counting_init)
+    at_state = check(state)
+    assert built == []
+    assert bitwise_equal(check(sol), at_state)
 
 
 class TestLaminarDepthCrossCheck:

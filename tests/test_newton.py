@@ -199,7 +199,8 @@ class TestAdmissibleSet:
 
     def test_damped_step_past_stagnation_rejected(self, setup, monkeypatch):
         # an admissible start whose every damped candidate is past
-        # stagnation on the surface: each is refused before its lambda is read
+        # stagnation on the surface: each is refused before its lambda is
+        # read, so only the initial state's lambda is
         from ehdsolitary import LeftAdmissibleSet
         base, g = setup
         t0, p = init_small(0.01, base, g)
@@ -222,7 +223,7 @@ class TestAdmissibleSet:
         with pytest.raises(LeftAdmissibleSet, match="no damped step"):
             newton_solve(t0, p, g, NewtonConfig())
         assert len(built) == 1 + 1 - int(np.log2(newton.MIN_STEP))
-        assert read == []
+        assert read == built[:1]
 
     def test_no_admissible_damped_step(self, setup, monkeypatch):
         # an admissible start whose every damped candidate has lambda <= 0
@@ -231,16 +232,31 @@ class TestAdmissibleSet:
         t0, p = init_small(0.01, base, g)
         assert system.lambda_min(t0, p, g) > 0
         read = []
+        state_lambda = system.SurfaceState.lambda_min
 
-        def zero_lambda(state):
+        def zero_lambda_after_start(state):
             read.append(state)
-            return 0.0
+            return state_lambda.__get__(state, type(state)) if len(read) == 1 else 0.0
 
-        monkeypatch.setattr(system.SurfaceState, "lambda_min", property(zero_lambda))
+        monkeypatch.setattr(system.SurfaceState, "lambda_min",
+                            property(zero_lambda_after_start))
         with pytest.raises(LeftAdmissibleSet, match="no damped step"):
             newton_solve(t0, p, g, NewtonConfig())
-        # steps 1, 1/2, ..., MIN_STEP were all tried and damped
-        assert len(read) == 1 - int(np.log2(newton.MIN_STEP))
+        # the initial state's, then steps 1, 1/2, ..., MIN_STEP were all
+        # tried and damped
+        assert len(read) == 1 + 1 - int(np.log2(newton.MIN_STEP))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_iterate_rejected(self, setup, bad):
+        # its lambda is nan, which is not > 0: LeftAdmissibleSet, not the
+        # state's NonFiniteTrace
+        from ehdsolitary import LeftAdmissibleSet
+        base, g = setup
+        t0, p = init_small(0.01, base, g)
+        t0[g.n_points // 2] = bad
+        with pytest.raises(LeftAdmissibleSet, match="lambda <= 0"), \
+                np.errstate(invalid="ignore"):
+            newton_solve(t0, p, g, NewtonConfig())
 
     def test_non_finite_candidate_residual_is_damped(self, setup, monkeypatch):
         # the full step's residual is non-finite: the step is halved, and the
@@ -288,9 +304,9 @@ class TestStateReuse:
     def counts(self, monkeypatch):
         """Records of what newton sees: the SurfaceStates constructed, the
         states whose lambda was read, the alpha-range passes (newton's
-        replace), Jacobian applications and module lambda_min results."""
+        replace) and Jacobian applications."""
         seen = {"states": [], "lambda_reads": [], "alpha_passes": 0,
-                "matvecs": 0, "lambdas": []}
+                "matvecs": 0}
         init = system.SurfaceState.__init__
         state_lambda = system.SurfaceState.lambda_min
 
@@ -310,15 +326,10 @@ class TestStateReuse:
             seen["matvecs"] += 1
             return system.jacobian_apply(*args)
 
-        def recording_lambda(*args):
-            seen["lambdas"].append(system.lambda_min(*args))
-            return seen["lambdas"][-1]
-
         monkeypatch.setattr(system.SurfaceState, "__init__", counting_init)
         monkeypatch.setattr(system.SurfaceState, "lambda_min", property(reading_lambda))
         monkeypatch.setattr(newton, "replace", counting_replace)
         monkeypatch.setattr(newton, "jacobian_apply", counting_apply)
-        monkeypatch.setattr(newton, "lambda_min", recording_lambda)
         return seen
 
     @pytest.mark.parametrize("bordered", [False, True])
@@ -349,18 +360,18 @@ class TestStateReuse:
 
     def test_one_state_per_residual_evaluation(self, stiff_state, counts):
         # newton_solve builds one state for the initial iterate and one for
-        # each damped candidate that passes the alpha-range test; the
-        # candidate's lambda is read off its state, so the module lambda_min
-        # runs only on the initial iterate, and build_solution reads the
-        # converged state's residual
+        # each damped candidate that passes the alpha-range test; every
+        # lambda, the initial iterate's included, is read off its state
+        # once, and build_solution reads the converged state's residual; no
+        # state keeps the level fields its lambda was read from
         t1, p, g = stiff_state
         sol = newton_solve(t1, p, g, NewtonConfig())
         assert len(sol.norm_history) > 1
         assert counts["matvecs"] > 10
-        assert len(counts["lambdas"]) == 1 and counts["lambdas"][0] > 0
         assert counts["alpha_passes"] >= len(sol.norm_history) - 1
         assert len(counts["states"]) == 1 + counts["alpha_passes"]
-        assert counts["lambda_reads"] == counts["states"][1:]
+        assert counts["lambda_reads"] == counts["states"]
+        assert not any("level_fields" in vars(s) for s in counts["states"])
 
     def test_one_state_per_corrector_candidate(self, counts):
         # the dense pseudo-arclength corrector moves alpha, and still builds
@@ -372,9 +383,8 @@ class TestStateReuse:
         c_alpha = p_b.alpha - p_a.alpha
         sol = newton_solve(t_b, p_b, g, NewtonConfig(), tangent=(c, c_alpha))
         assert sol.params.alpha != p_b.alpha
-        assert len(counts["lambdas"]) == 1
         assert len(counts["states"]) == 1 + counts["alpha_passes"]
-        assert counts["lambda_reads"] == counts["states"][1:]
+        assert counts["lambda_reads"] == counts["states"]
 
 
 class TestDenseJacobian:

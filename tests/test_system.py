@@ -17,7 +17,7 @@ from ehdsolitary import (
     make_params,
     residual,
 )
-from ehdsolitary.spectral import ddx, dtn, dtn_multiplier
+from ehdsolitary.spectral import CACHED_LEVELS, ddx, dtn, dtn_multiplier, harmonic_fields
 from ehdsolitary.system import NonFiniteTrace, SurfaceState, eliminated_t2
 from helpers import (
     count_transforms,
@@ -240,6 +240,20 @@ class TestSurfaceState:
         with pytest.raises(NonFiniteTrace):
             SurfaceState(t1, make_params(0.0, 0.5, 1.0), self.G)
 
+    def test_level_fields_are_the_harmonic_fields(self, case):
+        # the surface row is the state's, the interior rows its spectrum's
+        p, t1, _, _ = case
+        state = SurfaceState(t1, p, self.G)
+        for got, ref in zip(state.level_fields, harmonic_fields(t1, self.G, CACHED_LEVELS)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_monitors(self, case):
+        p, t1, _, _ = case
+        state = SurfaceState(t1, p, self.G)
+        grad = np.sqrt(ddx(t1, self.G) ** 2 + (1.0 + dtn(t1, self.G)) ** 2)
+        assert state.monitors == (np.min(1.0 + p.eps1 - 2.0 * p.alpha * t1),
+                                  np.min(grad), np.max(grad))
+
 
 class TestLambdaMin:
     def test_trivial_with_field(self):
@@ -305,7 +319,7 @@ class TestTransformCounts:
         state = crest_state(self.G, 0.4, 0.5)
         calls = count_transforms(monkeypatch)
         lambda_min(state.t1, state.params, self.G)
-        assert calls == {"rfft": 1, "irfft": 2}
+        assert calls == {"rfft": 1, "irfft": 1}
 
     @pytest.mark.parametrize("gamma", [0.0, -0.3, 0.4])
     def test_jacobian_apply(self, monkeypatch, gamma):
