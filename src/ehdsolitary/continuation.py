@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-# unused here: bench/spans.py rebinds continuation.lu_factor, so it must resolve
-from scipy.linalg import lu_factor  # noqa: F401
 
 from .diagnostics import nodal_check
 from .model import (
@@ -39,6 +37,17 @@ from .model import (
 from .newton import NewtonConfig, NewtonError, newton_solve
 from .spectral import cosine_coefficients, values_from_cosine
 from .system import SurfaceState
+
+
+def __getattr__(name):
+    """continuation.lu_factor is newton.lu_factor, SciPy's own function, which
+    no code here calls: bench/spans.py traces the dense LU under this name,
+    so it must resolve, and resolving it is what imports scipy.linalg."""
+    if name == "lu_factor":
+        from . import newton
+        return newton.lu_factor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 STOP_REASONS = (
     "M1_VANISHING", "M2_VANISHING", "M3_BLOWUP", "FROUDE_BLOWUP",

@@ -125,14 +125,6 @@ def _flow_force_stations(sol, h: np.ndarray, pad: int) -> np.ndarray:
     return total - boundary
 
 
-def _flow_force_all_stations(sol, pad: int) -> np.ndarray:
-    """Flow force at every station, with the integral over the strip height
-    in closed form, from the integrand on a pad-times zero-padded grid."""
-    bottom, surface = _flow_force_spectra(sol, pad)
-    bottom += surface[:len(bottom)]
-    return _flow_force_stations(sol, bottom, pad)
-
-
 def flow_force_profile(sol, check: bool = True) -> np.ndarray:
     """Flow force at all stations, at a WaveSolution or its SurfaceState
     (only t1, params and grid are read), its integrand evaluated once, on a

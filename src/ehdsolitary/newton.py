@@ -22,15 +22,23 @@ SurfaceState, which gives both its lambda and its residual; an accepted
 candidate's state is handed to the dense assembly, the preconditioner and
 every GMRES matvec, so none of them re-derives the base fields of the
 iterate, and the converged state gives the solution's residual.
+
+SciPy's solvers are imported by the first linear step that needs them:
+scipy.linalg by the first dense LU, scipy.sparse.linalg by the first GMRES
+solve.  Importing this module loads no SciPy, so neither does a process that
+only reads solutions (diagnose, ode).  The names lu_factor, lu_solve, gmres
+and LinearOperator resolve through the module __getattr__ to SciPy's own
+functions, and the linear step looks them up on the module at every call,
+so a rebinding of newton.lu_factor or newton.gmres is honoured.
 """
 from __future__ import annotations
 
+import importlib
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .model import Grid, Params, WaveSolution, amplitude_of, symmetrize, tail_of
 from .spectral import cosine_coefficients, values_from_cosine
@@ -47,6 +55,22 @@ MIN_STEP = 2.0 ** -10      # smallest damped step tried
 DENSE_MAX_N = 1024         # linear_solver="auto" takes the dense LU up to this N
 KRYLOV_RTOL = 1e-10
 KRYLOV_MAXITER = 15        # GMRES restarts of 20 inner iterations
+
+# SciPy solver -> the submodule that defines it, imported on first access
+_SCIPY_SOLVERS = {"lu_factor": "scipy.linalg", "lu_solve": "scipy.linalg",
+                  "gmres": "scipy.sparse.linalg",
+                  "LinearOperator": "scipy.sparse.linalg"}
+_solvers = sys.modules[__name__]
+
+
+def __getattr__(name):
+    """Resolve a SciPy solver name on first access: import its submodule and
+    keep SciPy's function in the module globals, where later lookups find it."""
+    if name not in _SCIPY_SOLVERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_SCIPY_SOLVERS[name]), name)
+    globals()[name] = value
+    return value
 
 
 class NewtonError(RuntimeError):
@@ -214,10 +238,10 @@ def _bordered_solver(state: SurfaceState, c: np.ndarray, c_alpha: float,
         dense_jacobian(state, p, g, big[:m, :m])
         big[:m, m], big[m, :m], big[m, m] = b, c, c_alpha
         try:
-            lu = lu_factor(big, overwrite_a=True)
+            lu = _solvers.lu_factor(big, overwrite_a=True)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise SingularLinearSolve(f"bordered factorization failed: {exc}") from exc
-        solve = lambda rhs: lu_solve(lu, rhs)
+        solve = lambda rhs: _solvers.lu_solve(lu, rhs)
     else:
         precondition = _preconditioner(state)
 
@@ -226,13 +250,13 @@ def _bordered_solver(state: SurfaceState, c: np.ndarray, c_alpha: float,
                 jacobian_apply(state, values_from_cosine(x[:m], g), p, g), g)
             return np.append(jx + b * x[m], c @ x[:m] + c_alpha * x[m])
 
-        op = LinearOperator((m + 1, m + 1), matvec=matvec)
-        pre = LinearOperator((m + 1, m + 1), matvec=lambda a: np.append(
+        op = _solvers.LinearOperator((m + 1, m + 1), matvec=matvec)
+        pre = _solvers.LinearOperator((m + 1, m + 1), matvec=lambda a: np.append(
             precondition(a[:m]), a[m]))
 
         def solve(rhs):
-            sol, info = gmres(op, rhs, rtol=KRYLOV_RTOL, atol=0.0,
-                              maxiter=KRYLOV_MAXITER, M=pre)
+            sol, info = _solvers.gmres(op, rhs, rtol=KRYLOV_RTOL, atol=0.0,
+                                       maxiter=KRYLOV_MAXITER, M=pre)
             if info != 0:
                 raise SingularLinearSolve(f"preconditioned GMRES failed (info={info})")
             return sol

@@ -2,6 +2,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lu_factor
 
+from ehdsolitary.diagnostics import _flow_force_spectra, _flow_force_stations
 from ehdsolitary.model import BaseParams, Grid, Params, make_params
 from ehdsolitary.reduced_ode import OdeParams, _rk4_step
 from ehdsolitary.spectral import (_apply_multiplier, _check_height, _check_trace,
@@ -221,6 +222,15 @@ def reference_alpha_derivative(t1: np.ndarray, p: Params, g: Grid) -> np.ndarray
     w1x = ddx(t1, g)
     w1y = dtn(t1, g)
     return 2.0 * t1 * (w1x * w1x + (1.0 + w1y) ** 2)
+
+
+def flow_force_all_stations(sol, pad: int) -> np.ndarray:
+    """Flow force at every station, with the integral over the strip height
+    in closed form, from the integrand on a pad-times zero-padded grid: the
+    direct evaluation that flow_force_profile's fold must reproduce."""
+    bottom, surface = _flow_force_spectra(sol, pad)
+    bottom += surface[:len(bottom)]
+    return _flow_force_stations(sol, bottom, pad)
 
 
 def reference_flow_force(sol, n_nodes):

@@ -19,19 +19,14 @@ from ehdsolitary import (
     physical_profile,
     prop65_check,
 )
-from ehdsolitary.diagnostics import (
-    _flow_force_all_stations,
-    full_report,
-    gamma_field_arrays,
-    hard_violations,
-)
+from ehdsolitary.diagnostics import full_report, gamma_field_arrays, hard_violations
 from ehdsolitary.io import load_solution
 from ehdsolitary.model import WaveSolution
 from ehdsolitary.newton import build_solution
 from ehdsolitary.spectral import dtn, dtn_multiplier, harmonic_fields
 from ehdsolitary.system import INTERIOR_LEVELS, SurfaceState
 
-from helpers import count_transforms, reference_flow_force
+from helpers import count_transforms, flow_force_all_stations, reference_flow_force
 
 FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
@@ -184,7 +179,7 @@ class TestFlowForce:
             warnings.simplefilter("error")
             assert np.array_equal(flow_force_profile(sol, check=False), s)
         # more padding converges to the quadrature
-        fine = _flow_force_all_stations(sol, 8)
+        fine = flow_force_all_stations(sol, 8)
         assert np.max(np.abs(fine - reference_flow_force(sol, 64))) < 1e-12
 
     @pytest.mark.parametrize("wave", [0, 20, 35, 44, 46, 50, 56, "small_wave",
@@ -202,7 +197,7 @@ class TestFlowForce:
         else:
             sol, _, _ = load_solution(FIXTURES / f"point_{wave:05d}.json")
             s = flow_force_profile(sol, check=False)
-        direct = _flow_force_all_stations(sol, diagnostics.FLOW_FORCE_PAD)
+        direct = flow_force_all_stations(sol, diagnostics.FLOW_FORCE_PAD)
         assert np.max(np.abs(s - direct)) <= 1e-14
 
 

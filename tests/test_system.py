@@ -381,3 +381,46 @@ def test_solver_path_does_not_load_scipy_optimize():
     p, q = make_params(0.2, 0.3, 1.5), make_params(0.1, 0.5, 1.0)
     here = [dispersion_root(p), find_dcr(q), find_dstar(q)]
     assert first.split() == [x.hex() for x in here]
+
+
+_LAZY_SCIPY_SCRIPT = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import ehdsolitary, ehdsolitary.cli
+assert not scipy_modules(), scipy_modules()
+from ehdsolitary import (BaseParams, NewtonConfig, OdeParams, full_report,
+                         init_small, integrate_orbit, make_grid, newton_solve)
+from ehdsolitary.io import load_solution
+
+sol, _, _ = load_solution(sys.argv[1])
+full_report(sol)
+p_ode = OdeParams(0.0, 0.0)
+integrate_orbit(p_ode.q0, 0.0, p_ode, 1e-2, 200)
+assert not scipy_modules(), scipy_modules()
+
+g = make_grid(256.0, 512)
+t0, p = init_small(0.01, BaseParams(0.0, 0.5), g)
+newton_solve(t0, p, g, NewtonConfig())
+loaded = scipy_modules()
+assert "scipy.linalg" in loaded, loaded
+assert not any(m.startswith(("scipy.sparse", "scipy.optimize")) for m in loaded), loaded
+newton_solve(t0, p, g, NewtonConfig(linear_solver="krylov"))
+assert "scipy.sparse.linalg" in sys.modules
+"""
+
+
+def test_read_side_loads_no_scipy():
+    # a fresh interpreter: importing the package and the CLI module, loading
+    # and checking a solution and integrating an orbit load no SciPy at all;
+    # the first dense step loads scipy.linalg alone, the first Krylov step
+    # scipy.sparse.linalg
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    fixture = root / "bench" / "fixtures" / "point_00020.json"
+    run = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_SCRIPT, str(fixture)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
