@@ -27,7 +27,6 @@ from .diagnostics import (
     IdentityReport,
     NodalReport,
     ProfileReport,
-    flow_force,
     flow_force_profile,
     flux_identity_check,
     full_report,

@@ -226,12 +226,8 @@ def cmd_continue(args) -> int:
                             [pt.froude for pt in pts]],
                            ["s", "m1", "m2", "m3", "froude"], run_config)
         _write_report(args.out, "stop_report",
-                      {"stop_reason": report.stop_reason,
-                       "gamma_case": report.gamma_case,
-                       "admissible": report.admissible,
-                       "discrepancy": report.discrepancy,
-                       "explanation": report.explanation,
-                       "note": branch.note}, args.format, run_config)
+                      {**dataclasses.asdict(report), "note": branch.note},
+                      args.format, run_config)
         print(f"wrote {out / 'branch.jsonl'}")
     return EXIT_OK
 
@@ -243,19 +239,16 @@ def cmd_diagnose(args) -> int:
     sol, run_config, _ = load_solution(args.input)
     report = full_report(sol)
     bad = hard_violations(report)
+    ff, flux = report["flow_force"], report["flux_identity"]
     print(f"diagnose {args.input}:")
-    print(f"  residual_norm       = {report['residual_norm']:.3e} "
-          f"({'ok' if report['residual_ok'] else 'VIOLATED'})")
-    print(f"  bernoulli (fields)  = {report['bernoulli_fields']:.3e} "
-          f"({'ok' if report['bernoulli_ok'] else 'VIOLATED'})")
-    print(f"  kinematic           = {report['kinematic']:.3e} "
-          f"({'ok' if report['kinematic_ok'] else 'VIOLATED'})")
-    print(f"  symmetry            = {report['symmetry_error']:.3e} "
-          f"({'ok' if report['symmetry_ok'] else 'VIOLATED'})")
-    print(f"  flow-force spread   = {report['flow_force']['relative_spread']:.3e} "
-          f"({'ok' if report['flow_force']['ok'] else 'VIOLATED'})")
-    print(f"  flux identity gap   = {report['flux_identity']['rel_gap']:.3e} "
-          f"({'ok' if report['flux_identity']['ok'] else 'VIOLATED'})")
+    for label, value, ok in (
+            ("residual_norm", report["residual_norm"], report["residual_ok"]),
+            ("bernoulli (fields)", report["bernoulli_fields"], report["bernoulli_ok"]),
+            ("kinematic", report["kinematic"], report["kinematic_ok"]),
+            ("symmetry", report["symmetry_error"], report["symmetry_ok"]),
+            ("flow-force spread", ff["relative_spread"], ff["ok"]),
+            ("flux identity gap", flux["rel_gap"], flux["ok"])):
+        print(f"  {label:<20}= {value:.3e} ({'ok' if ok else 'VIOLATED'})")
     print(f"  froude bound        = "
           f"{'ok' if report['froude_bound_ok'] else 'VIOLATED'}")
     print(f"  nodal               = "
@@ -293,13 +286,8 @@ def cmd_conjugate(args) -> int:
         print(f"flow force at d_star       = {rep.shat_at_star:.12g}")
     print(f"bore excluded: {rep.bore_excluded} ({rep.reason})")
     if args.out:
-        _write_report(args.out, "conjugate",
-                      {"d_cr": rep.d_cr, "d_star": rep.d_star,
-                       "qhat_at_1": rep.qhat_at_1, "shat_at_1": rep.shat_at_1,
-                       "shat_at_star": rep.shat_at_star,
-                       "bore_excluded": rep.bore_excluded,
-                       "sign_consistent": rep.sign_consistent,
-                       "reason": rep.reason}, args.format, run_config)
+        _write_report(args.out, "conjugate", dataclasses.asdict(rep),
+                      args.format, run_config)
     return EXIT_OK
 
 

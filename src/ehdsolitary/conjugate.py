@@ -27,8 +27,8 @@ class ConjugateFlowReport:
     shat_at_1: float
     shat_at_star: Optional[float]
     bore_excluded: bool
-    reason: str
     sign_consistent: bool
+    reason: str
 
 
 def qhat(d: float, p: Params):

@@ -49,11 +49,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-STOP_REASONS = (
-    "M1_VANISHING", "M2_VANISHING", "M3_BLOWUP", "FROUDE_BLOWUP",
-    "STEP_FAILURE", "BUDGET",
-)
-
 MONITOR_TRIGGERS = ("M1_VANISHING", "M2_VANISHING", "M3_BLOWUP", "FROUDE_BLOWUP")
 
 
@@ -91,7 +86,10 @@ def small_amplitude_coefficients(p0: BaseParams):
 
 def initializer_decay(eps: float, p0: BaseParams):
     """(sech^2 decay rate, least box half-length with the profile < 1e-10 at
-    the boundary) of the small-amplitude initializer at eps."""
+    the boundary) of the small-amplitude initializer at eps, which must lie
+    in its regime 0 < eps <= 0.1."""
+    if not 0.0 < eps <= 0.1:
+        raise ValidationError("eps", "initializer regime is 0 < eps <= 0.1")
     rate = 0.5 * small_amplitude_coefficients(p0)[1] * np.sqrt(eps)
     # sech^2(rate * L) < 1e-10  <=>  L > arccosh(1e5) / rate
     return rate, float(np.arccosh(1e5) / rate)
@@ -105,12 +103,10 @@ def init_small(eps: float, p0: BaseParams, g: Grid):
     alpha = alpha_cr - eps.  Requires the box wide enough that sech^2 at the
     boundary is below 1e-10.
     """
-    if not 0.0 < eps <= 0.1:
-        raise ValidationError("eps", "initializer regime is 0 < eps <= 0.1")
+    rate, required = initializer_decay(eps, p0)
     alpha = p0.alpha_cr - eps
     if alpha <= 0:
         raise ValidationError("eps", f"alpha = alpha_cr - eps = {alpha} must be > 0")
-    rate, required = initializer_decay(eps, p0)
     if 1.0 / np.cosh(rate * g.half_length) ** 2 >= 1e-10:
         raise GridTooNarrow(required)
     t1 = (small_amplitude_coefficients(p0)[0] * eps) / np.cosh(rate * g.x) ** 2
@@ -149,6 +145,10 @@ class ContinuationConfig:
     f_cap: float = 1e2
     tail_tol: float = 1e-9
     newton: NewtonConfig = field(default_factory=NewtonConfig)
+
+    def __post_init__(self):
+        if self.max_points < 1:
+            raise ValidationError("max_points", "must be >= 1")
 
     def resolved_m1_tol(self, eps1: float) -> float:
         return self.m1_tol if self.m1_tol is not None else 1e-2 * (1.0 + eps1)
@@ -320,10 +320,6 @@ def continue_branch(p0: BaseParams, g: Grid,
         state = SurfaceState(sol.t1, p, sol.grid)
         m1, m2, m3 = state.monitors
         lam = state.lambda_min
-        if not p.alpha < p.alpha_cr:
-            stop_reason = "STEP_FAILURE"
-            note = "defect: accepted parameters left the subcritical regime"
-            return False
         nod = nodal_check(state, tail_floor=10.0 * cfg.tail_tol)
         if not nod.passed:
             stop_reason = "STEP_FAILURE"
@@ -353,8 +349,7 @@ def continue_branch(p0: BaseParams, g: Grid,
     stage = "eps"
     ds = None
     while stop_reason is None:
-        # the first point is always taken
-        if points and len(points) >= cfg.max_points:
+        if len(points) >= cfg.max_points:
             stop_reason = "BUDGET"
             note = "point budget exhausted"
             break
@@ -362,8 +357,9 @@ def continue_branch(p0: BaseParams, g: Grid,
         # predict
         if stage == "eps":
             eps_new = eps * EPS_GROWTH if points else eps
-            if points and (p0.alpha_cr - eps_new <= 1e-4 * p0.alpha_cr
-                           or eps_new > 0.1):
+            # an eps_new past init_small's regime fails in the correction
+            # below, which also switches to arclength
+            if points and p0.alpha_cr - eps_new <= 1e-4 * p0.alpha_cr:
                 stage = "arc"
                 continue
             tangent = None

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import WaveSolution, symmetry_error, tail_of
+from .model import WaveSolution, symmetry_error
 from .spectral import _cosh_ratio, conjugate_primitive
 from .system import INTERIOR_LEVELS, SurfaceState, eliminated_t2
 
@@ -125,7 +125,7 @@ def _flow_force_stations(sol, h: np.ndarray, pad: int) -> np.ndarray:
     return total - boundary
 
 
-def flow_force_profile(sol, check: bool = True) -> np.ndarray:
+def flow_force_profile(sol) -> np.ndarray:
     """Flow force at all stations, at a WaveSolution or its SurfaceState
     (only t1, params and grid are read), its integrand evaluated once, on a
     2 FLOW_FORCE_PAD-times zero-padded grid.
@@ -133,33 +133,23 @@ def flow_force_profile(sol, check: bool = True) -> np.ndarray:
     The result is that of the FLOW_FORCE_PAD-times grid, whose samples are
     every second sample of the finer one: their DFT is the fold
     (H[k] + H[k + n/2]) / 2 of the finer DFT H, and on the bottom, where the
-    integrand is real, H[k + n/2] = conj(H[n/2 - k]).  With check, the
-    result of the finer grid is formed too, and a gap above 1e-8 between
-    the two warns that the integrand is not resolved."""
+    integrand is real, H[k + n/2] = conj(H[n/2 - k]).  The result of the
+    finer grid is formed too, and a gap above 1e-8 between the two warns
+    that the integrand is not resolved."""
     bottom, surface = _flow_force_spectra(sol, 2 * FLOW_FORCE_PAD)
     half = len(bottom) - 1                  # n/2 on the finer grid
     m = half // 2 + 1                       # rfft length on the coarser one
     folded = 0.5 * (bottom[:m] + bottom[half:half - m:-1].conj()
                     + surface[:m] + surface[half:half + m])
     s = _flow_force_stations(sol, folded, FLOW_FORCE_PAD)
-    if check:
-        bottom += surface[:len(bottom)]
-        fine = _flow_force_stations(sol, bottom, 2 * FLOW_FORCE_PAD)
-        gap = float(np.max(np.abs(fine - s)))
-        if gap > 1e-8:
-            warnings.warn(
-                f"flow-force integrand not resolved: doubling the padding "
-                f"moved the result by {gap:.2e}", RuntimeWarning, stacklevel=2)
+    bottom += surface[:len(bottom)]
+    fine = _flow_force_stations(sol, bottom, 2 * FLOW_FORCE_PAD)
+    gap = float(np.max(np.abs(fine - s)))
+    if gap > 1e-8:
+        warnings.warn(
+            f"flow-force integrand not resolved: doubling the padding "
+            f"moved the result by {gap:.2e}", RuntimeWarning, stacklevel=2)
     return s
-
-
-def flow_force(sol, x: float, check: bool = True) -> float:
-    """Flow force at the station nearest to x (x must lie inside the box)."""
-    g = sol.grid
-    if not -g.half_length <= x <= g.half_length:
-        raise ValueError(f"station x={x} outside the computational box")
-    j = int(np.argmin(np.abs(g.x - x)))
-    return float(flow_force_profile(sol, check=check)[j])
 
 
 # --- integral flux identity ---------------------------------------------------
@@ -169,7 +159,6 @@ class IdentityReport:
     lhs: float
     rhs: float
     rel_gap: float
-    tail: float                 # truncation budget for the o(1) remainder (tail_of)
     advective: float            # integral of w1 * w1y over the surface
     advective_positive: bool
 
@@ -195,7 +184,7 @@ def flux_identity_check(sol) -> IdentityReport:
            + p.gamma ** 2 / 6.0 * integral(t1 ** 3))
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return IdentityReport(
-        lhs=lhs, rhs=rhs, rel_gap=abs(lhs - rhs) / scale, tail=tail_of(t1, g),
+        lhs=lhs, rhs=rhs, rel_gap=abs(lhs - rhs) / scale,
         advective=advective, advective_positive=advective > 0.0)
 
 
@@ -206,7 +195,6 @@ class NodalReport:
     passed: bool
     x_tail: float
     violations: list = field(default_factory=list)   # (height, x) pairs
-    noise_floor: float = 0.0
 
 
 def nodal_check(sol, tail_floor: float = 1e-8) -> NodalReport:
@@ -243,8 +231,7 @@ def nodal_check(sol, tail_floor: float = 1e-8) -> NodalReport:
     for y, slope in zip(heights, slopes):
         bad = window & (slope >= noise)
         violations.extend((y, float(xx)) for xx in x[bad])
-    return NodalReport(passed=not violations, x_tail=x_tail,
-                       violations=violations, noise_floor=noise)
+    return NodalReport(passed=not violations, x_tail=x_tail, violations=violations)
 
 
 # --- physical profile -----------------------------------------------------------
@@ -253,7 +240,6 @@ def nodal_check(sol, tail_floor: float = 1e-8) -> NodalReport:
 class ProfileReport:
     X: np.ndarray               # physical surface (X, Y), one point per station
     Y: np.ndarray
-    xi_prime: np.ndarray        # horizontal stretch eta_y per station
     overhang: bool
     min_xi_prime: float
     self_intersecting: bool
@@ -316,8 +302,8 @@ def physical_profile(sol) -> ProfileReport:
     min_xi = float(np.min(eta_y))
     overhang = min_xi < 0.0
     selfx = _self_intersection_scan(X, Y) if overhang else False
-    return ProfileReport(X=X, Y=Y, xi_prime=eta_y, overhang=overhang,
-                         min_xi_prime=min_xi, self_intersecting=selfx)
+    return ProfileReport(X=X, Y=Y, overhang=overhang, min_xi_prime=min_xi,
+                         self_intersecting=selfx)
 
 
 # --- laminar-stream bounds -------------------------------------------------------
@@ -401,7 +387,7 @@ def full_report(sol: WaveSolution) -> dict:
 
     idx = np.linspace(0, g.n_points - 1, REPORT_STATIONS).astype(int)
     stations = g.x[idx]
-    s_vals = flow_force_profile(state, check=True)
+    s_vals = flow_force_profile(state)
     s_at_stations = s_vals[idx]
     s_ref = float(s_vals[g.n_points // 2])        # station at the crest x = 0
     spread = float(np.max(np.abs(s_at_stations - s_ref)) / max(abs(s_ref), 1e-300))

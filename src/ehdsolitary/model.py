@@ -66,10 +66,6 @@ class Params(BaseParams):
     def froude(self) -> float:
         return 1.0 / np.sqrt(self.alpha)
 
-    @property
-    def base(self) -> BaseParams:
-        return BaseParams(self.gamma, self.eps1)
-
 
 def make_params(gamma: float, eps1: float, alpha: float) -> Params:
     """Validated Params constructor."""

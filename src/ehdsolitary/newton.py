@@ -216,22 +216,22 @@ def _use_dense(cfg: NewtonConfig, g: Grid) -> bool:
 
 
 def _bordered_solver(state: SurfaceState, c: np.ndarray, c_alpha: float,
-                     cfg: NewtonConfig, b: np.ndarray | None = None):
+                     cfg: NewtonConfig):
     """The linear step (r, n_val) -> (dt, dalpha) of the bordered system
-    [J b; c c_alpha] at state, b defaulting to the state's dR/dalpha.
+    [J b; c c_alpha] at state, b the cosine coefficients of the state's
+    dR/dalpha.
 
     Dense: one LU of the (M+1, M+1) matrix, reused by every call; J is
     written into its top-left block by dense_jacobian and the LU overwrites
     it.  Krylov: each call is one GMRES solve, matrix-free, so memory
     stays O(N), of at most KRYLOV_MAXITER restarts; the preconditioner is
     _preconditioner on the modes, one transform pair per application, and
-    passes the border entry unchanged.  The bordered operator stays
+    passes the last (alpha) entry unchanged.  The bordered operator stays
     invertible at an alpha fold, where J is singular.
     """
     p, g = state.params, state.grid
     m = g.n_modes
-    if b is None:
-        b = cosine_coefficients(state.alpha_derivative, g)
+    b = cosine_coefficients(state.alpha_derivative, g)
     if _use_dense(cfg, g):
         # Fortran order, so that LAPACK factors the matrix where it stands
         big = np.empty((m + 1, m + 1), order="F")
@@ -271,21 +271,13 @@ def _bordered_solver(state: SurfaceState, c: np.ndarray, c_alpha: float,
 
 
 def solve_newton_step(t1_or_state, r: np.ndarray, p: Params, g: Grid,
-                      cfg: NewtonConfig, border=None):
-    """One Newton step at a trace or at a SurfaceState (one state serves
-    every matvec): the correction trace dt of J dt = -r.
-
-    With border = (b, c, c_alpha, n_val) it solves the bordered system
-        [J  b      ] [da    ]     [r    ]
-        [c  c_alpha] [dalpha] = - [n_val]
-    instead and returns (dt, dalpha).  Without, the step is the same solve
-    with the pinned border (dR/dalpha, 0, 1, 0), whose dalpha is exactly 0.
-    """
+                      cfg: NewtonConfig):
+    """One fixed-alpha Newton step at a trace or at a SurfaceState (one
+    state serves every matvec): the correction trace dt of J dt = -r, solved
+    as the bordered system whose last row pins alpha (c = 0, c_alpha = 1,
+    n_val = 0), so its dalpha is exactly 0."""
     state = SurfaceState.of(t1_or_state, p, g)
-    if border is None:
-        return _bordered_solver(state, np.zeros(g.n_modes), 1.0, cfg)(r, 0.0)[0]
-    b, c, c_alpha, n_val = border
-    return _bordered_solver(state, c, c_alpha, cfg, b)(r, n_val)
+    return _bordered_solver(state, np.zeros(g.n_modes), 1.0, cfg)(r, 0.0)[0]
 
 
 def _past_stagnation(state: SurfaceState) -> bool:

@@ -100,6 +100,11 @@ def _rk4_step(q, v, h, p: OdeParams):
             v + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p))
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ValidationError(name, "must be finite and > 0")
+
+
 def integrate_orbit(q_init: float, p_init: float, p: OdeParams,
                     dt: float, n_steps: int) -> Orbit:
     """Classical fixed-step RK4 on the scaled planar system.
@@ -108,8 +113,7 @@ def integrate_orbit(q_init: float, p_init: float, p: OdeParams,
     ESCAPE_FACTOR * q0; flags the step size when the first-integral drift
     exceeds 1e-6.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    _require_positive("dt", dt)
     qs = np.empty(n_steps + 1)
     ps = np.empty(n_steps + 1)
     qs[0], ps[0] = q_init, p_init
@@ -137,7 +141,9 @@ def phase_portrait(p: OdeParams, q0_list, dt: float = 1e-3,
 
     Launch points below the separatrix crest trace closed loops, the crest
     itself traces the localized orbit, and higher launches escape and are
-    flagged.
+    flagged.  dt and x_max must be finite and positive.
     """
+    _require_positive("dt", dt)
+    _require_positive("x_max", x_max)
     n_steps = int(round(x_max / dt))
     return [integrate_orbit(q0, 0.0, p, dt, n_steps) for q0 in q0_list]

@@ -22,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .model import Grid, Params
-from .spectral import (CACHED_LEVELS, INTERIOR_LEVELS, _fields_from_spectrum,
-                       dtn_multiplier, harmonic_fields, surface_fields)
+from .spectral import (INTERIOR_LEVELS, _fields_from_spectrum, dtn_multiplier,
+                       surface_fields)
 
 
 class NonFiniteTrace(ArithmeticError):
@@ -91,9 +91,15 @@ class SurfaceState:
 
     @cached_property
     def lambda_min(self) -> float:
-        """The admissibility quantity (module lambda_min) of t1, from
-        level_fields."""
-        return _lambda_of_fields(*self.level_fields, self.params)
+        """The admissibility quantity of t1: the inf of
+        4 (1 + eps1 - 2 alpha w)^2 (w_x^2 + (1 + w_y)^2) over level_fields,
+        the harmonic extension w of t1 sampled on the surface and at the
+        INTERIOR_LEVELS heights."""
+        p = self.params
+        w, w_x, w_y = self.level_fields
+        val = 4.0 * (1.0 + p.eps1 - 2.0 * p.alpha * w) ** 2 * (w_x ** 2 + (1.0 + w_y) ** 2)
+        # np.min, unlike min, keeps a nan: such an iterate is not > 0
+        return float(np.min(val))
 
     @property
     def monitors(self):
@@ -175,16 +181,9 @@ def dispersion_root(p: Params):
 
 
 def lambda_min(t1: np.ndarray, p: Params, g: Grid) -> float:
-    """Admissibility quantity: inf of 4 (1 + eps1 - 2 alpha w1)^2 |grad eta|^2
-    sampled on the surface and at the INTERIOR_LEVELS heights; the same
-    value as SurfaceState(t1, p, g).lambda_min, without the residual, so a
-    non-finite t1 gives nan rather than NonFiniteTrace."""
-    return _lambda_of_fields(*harmonic_fields(t1, g, CACHED_LEVELS), p)
-
-
-def _lambda_of_fields(w, w_x, w_y, p: Params) -> float:
-    """inf of 4 (1 + eps1 - 2 alpha w)^2 (w_x^2 + (1 + w_y)^2) over the
-    sampled harmonic extension w of t1 and its derivatives."""
-    val = 4.0 * (1.0 + p.eps1 - 2.0 * p.alpha * w) ** 2 * (w_x ** 2 + (1.0 + w_y) ** 2)
-    # np.min, unlike min, keeps a nan: a non-finite t1 has lambda nan, not > 0
-    return float(np.min(val))
+    """SurfaceState(t1, p, g).lambda_min, or nan when t1 is not finite, so
+    that a non-finite trace reads as "not > 0" rather than raising."""
+    try:
+        return SurfaceState(t1, p, g).lambda_min
+    except NonFiniteTrace:
+        return float("nan")

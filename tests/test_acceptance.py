@@ -71,7 +71,7 @@ def test_a1_trivial_consistency():
         p = make_params(gamma, eps1, alpha)
         worst_r = max(worst_r, float(np.max(np.abs(residual(np.zeros(32), p, g)))))
         sol = build_solution(np.zeros(32), p, g, 1e-15)
-        s = flow_force_profile(sol, check=False)
+        s = flow_force_profile(sol)
         expected = p.gamma ** 2 / 3.0 - p.gamma + 0.5 * p.alpha + 1.0 + p.eps1
         worst_s = max(worst_s, float(np.max(np.abs(s - expected))))
     report("A1 trivial consistency", worst_r == 0.0 and worst_s < 1e-12,
@@ -186,7 +186,7 @@ def test_a4_flow_force_invariance(gamma, eps1, eps):
     g = make_grid(_auto_half_length(eps, eps1), 1024)
     t0, p = init_small(eps, base, g)
     sol = newton_solve(t0, p, g, NewtonConfig(tol=1e-11))
-    s = flow_force_profile(sol, check=True)
+    s = flow_force_profile(sol)
     idx = np.linspace(0, g.n_points - 1, 9).astype(int)
     ref = s[g.n_points // 2]
     spread = float(np.max(np.abs(s[idx] - ref)) / abs(ref))

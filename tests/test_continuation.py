@@ -85,6 +85,13 @@ class TestInitSmall:
         with pytest.raises(ValidationError, match="eps"):
             init_small(-0.01, BaseParams(0.0, 0.5), g)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.01, 0.5, np.nan])
+    def test_decay_refuses_eps_out_of_regime(self, eps):
+        # the CLI sizes its box from initializer_decay before init_small runs
+        with pytest.raises(ValidationError) as exc:
+            continuation.initializer_decay(eps, BaseParams(0.0, 0.5))
+        assert exc.value.field_name == "eps"
+
 
 class TestRegridding:
     def test_widen_embeds_exactly(self):
@@ -132,6 +139,13 @@ def short_branch():
     g = make_grid(704.0, 1024)
     cfg = ContinuationConfig(max_points=12, newton=NewtonConfig())
     return continue_branch(base, g, cfg), base
+
+
+@pytest.mark.parametrize("max_points", [0, -3])
+def test_config_refuses_an_empty_point_budget(max_points):
+    with pytest.raises(ValidationError) as exc:
+        ContinuationConfig(max_points=max_points)
+    assert exc.value.field_name == "max_points"
 
 
 class TestContinueBranch:

@@ -9,7 +9,6 @@ import pytest
 from ehdsolitary import diagnostics
 from ehdsolitary import (
     DegenerateJacobian,
-    flow_force,
     flow_force_profile,
     flux_identity_check,
     lambda_min,
@@ -119,20 +118,20 @@ class TestFlowForce:
     def test_trivial_closed_form(self, gamma, eps1, alpha):
         sol = trivial_solution(gamma, eps1, alpha)
         expected = gamma ** 2 / 3.0 - gamma + alpha / 2.0 + 1.0 + eps1
-        for x in (0.0, -5.0, 7.5):
-            assert flow_force(sol, x) == pytest.approx(expected, abs=1e-12)
-        s = flow_force_profile(sol, check=True)
+        s = flow_force_profile(sol)
+        assert np.max(np.abs(s - expected)) < 1e-12
         assert np.max(np.abs(s - reference_flow_force(sol, 64))) < 1e-12
 
     def test_reference_value_matches_unit_depth_force(self):
         sol = trivial_solution(0.0, 0.5, 1.0)
         from ehdsolitary import shat
-        assert flow_force(sol, 0.0) == pytest.approx(2.0, abs=1e-12)
-        assert flow_force(sol, 0.0) == pytest.approx(shat(1.0, sol.params), abs=1e-12)
+        at_crest = flow_force_profile(sol)[sol.grid.n_points // 2]     # x = 0
+        assert at_crest == pytest.approx(2.0, abs=1e-12)
+        assert at_crest == pytest.approx(shat(1.0, sol.params), abs=1e-12)
 
     def test_invariance_across_stations(self, small_wave):
         g = small_wave.grid
-        s = flow_force_profile(small_wave, check=True)
+        s = flow_force_profile(small_wave)
         idx = np.linspace(0, g.n_points - 1, 9).astype(int)
         ref = s[g.n_points // 2]
         spread = np.max(np.abs(s[idx] - ref)) / abs(ref)
@@ -140,19 +139,15 @@ class TestFlowForce:
 
     def test_invariance_rotational(self, rotational_wave):
         g = rotational_wave.grid
-        s = flow_force_profile(rotational_wave, check=True)
+        s = flow_force_profile(rotational_wave)
         idx = np.linspace(0, g.n_points - 1, 9).astype(int)
         ref = s[g.n_points // 2]
         assert np.max(np.abs(s[idx] - ref)) / abs(ref) < 1e-6
 
-    def test_station_outside_box_rejected(self, small_wave):
-        with pytest.raises(ValueError, match="outside"):
-            flow_force(small_wave, 1e9)
-
     @pytest.mark.parametrize("wave", ["small_wave", "rotational_wave"])
     def test_matches_quadrature_oracle(self, wave, request):
         sol = request.getfixturevalue(wave)
-        s = flow_force_profile(sol, check=True)
+        s = flow_force_profile(sol)
         assert np.max(np.abs(s - reference_flow_force(sol, 64))) < 1e-12
 
     # state 56 is under-resolved at N = 8192
@@ -163,21 +158,18 @@ class TestFlowForce:
         sol, _, _ = load_solution(FIXTURES / f"point_{index:05d}.json")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = flow_force_profile(sol, check=True)
+            s = flow_force_profile(sol)
         assert np.max(np.abs(s - reference_flow_force(sol, 64))) < tol
 
     def test_padding_check_is_quiet_when_resolved(self, small_wave):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            flow_force_profile(small_wave, check=True)  # converged: no warning
+            flow_force_profile(small_wave)  # converged: no warning
 
     def test_padding_check_warns_when_unresolved(self):
         sol = unresolved_solution()
         with pytest.warns(RuntimeWarning, match="doubling the padding"):
-            s = flow_force_profile(sol, check=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert np.array_equal(flow_force_profile(sol, check=False), s)
+            flow_force_profile(sol)
         # more padding converges to the quadrature
         fine = flow_force_all_stations(sol, 8)
         assert np.max(np.abs(fine - reference_flow_force(sol, 64))) < 1e-12
@@ -190,13 +182,13 @@ class TestFlowForce:
         if wave == "unresolved":
             sol = unresolved_solution()
             with pytest.warns(RuntimeWarning, match="doubling the padding"):
-                s = flow_force_profile(sol, check=True)
+                s = flow_force_profile(sol)
         elif isinstance(wave, str):
             sol = request.getfixturevalue(wave)
-            s = flow_force_profile(sol, check=False)
+            s = flow_force_profile(sol)
         else:
             sol, _, _ = load_solution(FIXTURES / f"point_{wave:05d}.json")
-            s = flow_force_profile(sol, check=False)
+            s = flow_force_profile(sol)
         direct = flow_force_all_stations(sol, diagnostics.FLOW_FORCE_PAD)
         assert np.max(np.abs(s - direct)) <= 1e-14
 
@@ -485,5 +477,5 @@ class TestLaminarDepthCrossCheck:
         gamma, eps1, alpha = 0.35, 0.6, 0.9
         sol = synthetic_solution(np.full(n, d - 1.0), gamma, eps1, alpha,
                                  20.0, n)
-        assert flow_force(sol, 0.0, check=True) == \
+        assert flow_force_profile(sol)[n // 2] == \
             pytest.approx(shat(d, sol.params), abs=1e-12)

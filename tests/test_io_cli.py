@@ -295,6 +295,24 @@ class TestCliOde:
         assert len(list(tmp_path.glob("orbit_*.dat"))) == 2
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["ode", "--dt", "0"], "dt"),
+    (["ode", "--dt=-1e-3"], "dt"),
+    (["ode", "--dt", "nan"], "dt"),
+    (["ode", "--x-max", "nan"], "x_max"),
+    (["ode", "--x-max", "-1"], "x_max"),
+    (["ode", "--x-max", "inf"], "x_max"),
+    (["continue", "--max-points", "0", "--n-points", "256"], "max_points"),
+    (["continue", "--max-points=-2", "--n-points", "256"], "max_points"),
+    (["continue", "--eps-start", "0", "--n-points", "256"], "eps"),
+    (["solve", "--eps", "0", "--n-points", "256"], "eps")])
+def test_out_of_range_settings_are_validation_errors(argv, field, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"validation error: {field}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 class TestCliContinue:
     def test_short_branch_run(self, tmp_path, capsys):
         rc = main(["continue", "--gamma", "0", "--eps1", "0.5",
@@ -332,6 +350,78 @@ class TestCliContinue:
         pts, stop, _, header = load_branch(out / "branch.jsonl")
         assert len(pts) == 3          # flag wins over config
         assert header["run_config"]["eps_start"] == 0.01   # config wins over default
+
+
+class TestReportLayout:
+    """The printed and written reports keep their layout: the diagnose lines
+    of a clean bench state, and the key order of the conjugate and stop
+    reports in both formats."""
+
+    DIAGNOSE = """\
+diagnose {path}:
+  residual_norm       = {residual_norm:.3e} (ok)
+  bernoulli (fields)  = {bernoulli_fields:.3e} (ok)
+  kinematic           = {kinematic:.3e} (ok)
+  symmetry            = {symmetry_error:.3e} (ok)
+  flow-force spread   = {spread:.3e} (ok)
+  flux identity gap   = {rel_gap:.3e} (ok)
+  froude bound        = ok
+  nodal               = pass
+  bound theta_y vs 1           degenerate-equality
+  bound psi_y upper (gamma<=0) degenerate-equality
+  bound psi_y lower (gamma>=0) pass
+all hard invariants hold
+"""
+
+    def test_diagnose_lines(self, capsys):
+        from ehdsolitary.diagnostics import full_report
+        path = FIXTURES / "point_00020.json"
+        rep = full_report(load_solution(path)[0])
+        assert main(["diagnose", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == self.DIAGNOSE.format(
+            path=path, spread=rep["flow_force"]["relative_spread"],
+            rel_gap=rep["flux_identity"]["rel_gap"], **rep)
+
+    @staticmethod
+    def _reports(tmp_path, argv, name):
+        """The report name written by argv in json and in csv, as ordered
+        (key, value) pairs, the run_config left out."""
+        out = {}
+        for fmt in ("json", "csv"):
+            assert main(argv + ["--out", str(tmp_path / fmt), "--format", fmt]) == 0
+            if fmt == "json":
+                doc = json.loads((tmp_path / fmt / f"{name}.json").read_text())
+            else:
+                with open(tmp_path / fmt / f"{name}.csv", newline="") as fh:
+                    doc = dict(list(csv.reader(fh))[1:])
+            out[fmt] = [(k, v) for k, v in doc.items() if k != "run_config"]
+        return out
+
+    def test_conjugate_keys(self, tmp_path):
+        reports = self._reports(tmp_path, ["conjugate", "--gamma", "0", "--eps1", "0.5",
+                                           "--alpha", "1.0"], "conjugate")
+        keys = ["d_cr", "d_star", "qhat_at_1", "shat_at_1", "shat_at_star",
+                "bore_excluded", "sign_consistent", "reason", "format_version"]
+        assert [k for k, _ in reports["json"]] == keys
+        assert [k for k, _ in reports["csv"]] == keys
+
+    def test_stop_report(self, tmp_path):
+        reports = self._reports(tmp_path, ["continue", "--n-points", "256",
+                                           "--max-points", "1"], "stop_report")
+        explanation = ("point budget exhausted before any limit indicator "
+                       "triggered (point budget exhausted)")
+        assert reports["json"] == [
+            ("stop_reason", "BUDGET"), ("gamma_case", "gamma=0"),
+            ("admissible", None), ("discrepancy", False),
+            ("explanation", explanation), ("note", "point budget exhausted"),
+            ("format_version", FORMAT_VERSION)]
+        assert reports["csv"] == [
+            ("stop_reason", "BUDGET"), ("gamma_case", "gamma=0"),
+            ("admissible", ""), ("discrepancy", "False"),
+            ("explanation", explanation), ("note", "point budget exhausted"),
+            ("format_version", str(FORMAT_VERSION))]
 
 
 class TestHexRoundTrip:

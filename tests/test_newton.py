@@ -110,7 +110,7 @@ class TestNewtonSolve:
 
 class TestPinnedBorder:
     """A fixed-alpha step is the bordered step whose last row pins alpha:
-    border (dR/dalpha, 0, 1, 0)."""
+    c = 0, c_alpha = 1, n_val = 0."""
 
     @pytest.mark.parametrize("solver", ["dense", "krylov"])
     @pytest.mark.parametrize("gamma", [0.0, 0.4])
@@ -119,10 +119,9 @@ class TestPinnedBorder:
         t0, p = init_small(0.02, BaseParams(gamma, 0.5), g)
         state = system.SurfaceState(t0, p, g)
         cfg = NewtonConfig(linear_solver=solver)
-        b = cosine_coefficients(state.alpha_derivative, g)
         dt = newton.solve_newton_step(state, state.residual, p, g, cfg)
-        dt_b, d_alpha = newton.solve_newton_step(
-            state, state.residual, p, g, cfg, border=(b, np.zeros(g.n_modes), 1.0, 0.0))
+        dt_b, d_alpha = newton._bordered_solver(
+            state, np.zeros(g.n_modes), 1.0, cfg)(state.residual, 0.0)
         assert d_alpha == 0.0
         assert np.array_equal(dt, dt_b)
         # and it is the Newton step J dt = -R
@@ -338,11 +337,11 @@ class TestStateReuse:
         state = system.SurfaceState(t1, p, g)
         counts["states"].clear()
         cfg = NewtonConfig(linear_solver="krylov")
-        border = None
         if bordered:
             c = cosine_coefficients(t1, g)
-            border = (cosine_coefficients(state.alpha_derivative, g), c, 1.0, 0.0)
-        newton.solve_newton_step(state, state.residual, p, g, cfg, border=border)
+            newton._bordered_solver(state, c, 1.0, cfg)(state.residual, 0.0)
+        else:
+            newton.solve_newton_step(state, state.residual, p, g, cfg)
         assert counts["states"] == []
         assert counts["matvecs"] > 10
 
@@ -442,9 +441,8 @@ class TestDenseStep:
             return lu, piv
 
         monkeypatch.setattr(newton, "lu_factor", recording_lu_factor)
-        newton.solve_newton_step(state, state.residual, state.params, g,
-                                 NewtonConfig(linear_solver="dense"),
-                                 border=(b, c, c_alpha, 0.0))
+        newton._bordered_solver(state, c, c_alpha, NewtonConfig(linear_solver="dense"))(
+            state.residual, 0.0)
         (matrix, lu, piv, in_place), = seen
         lu_ref, piv_ref = blockwise_bordered_lu(state, b, c, c_alpha)
         assert in_place
@@ -458,13 +456,12 @@ class TestDenseStep:
     def test_peak_memory_of_one_step(self):
         g = make_grid(64.0, 1024)
         state = crest_state(g, 0.0, 0.5)
-        b, c, c_alpha = self._border(state)
+        _, c, c_alpha = self._border(state)
         state.coefficients              # cached before the measurement
         tracemalloc.start()
         try:
-            newton.solve_newton_step(state, state.residual, state.params, g,
-                                     NewtonConfig(linear_solver="dense"),
-                                     border=(b, c, c_alpha, 0.0))
+            newton._bordered_solver(state, c, c_alpha, NewtonConfig(linear_solver="dense"))(
+                state.residual, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -477,7 +474,6 @@ class TestKrylovStep:
         # bordered system without a solution, so GMRES cannot converge
         g = make_grid(128.0, 2048)
         state = crest_state(g, 0.0, 0.5)
-        p = state.params
         applied = []
 
         def counting_apply(*args):
@@ -485,11 +481,10 @@ class TestKrylovStep:
             return system.jacobian_apply(*args)
 
         monkeypatch.setattr(newton, "jacobian_apply", counting_apply)
-        b = cosine_coefficients(state.alpha_derivative, g)
+        step = newton._bordered_solver(state, np.zeros(g.n_modes), 0.0,
+                                       NewtonConfig(linear_solver="krylov"))
         with pytest.raises(newton.SingularLinearSolve, match="GMRES"):
-            newton.solve_newton_step(state, state.residual, p, g,
-                                     NewtonConfig(linear_solver="krylov"),
-                                     border=(b, np.zeros(g.n_modes), 0.0, 1.0))
+            step(state.residual, 1.0)
         # it fails fast: at most 15 restarts, each one residual and at most
         # 20 inner applications, plus the initial residual
         assert len(applied) <= 15 * 21 + 1

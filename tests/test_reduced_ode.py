@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ehdsolitary import (
     BaseParams,
     OdeParams,
+    ValidationError,
     f_reduced,
     integrate_orbit,
     phase_portrait,
@@ -142,11 +143,22 @@ class TestIntegrateOrbit:
         assert orb.step_warning or orb.escaped
 
     def test_invalid_dt(self):
-        with pytest.raises(ValueError, match="dt"):
-            integrate_orbit(0.5, 0.0, OdeParams(0.0, 0.0), 0.0, 10)
+        for dt in (0.0, -1e-3, np.nan, np.inf):
+            with pytest.raises(ValidationError) as exc:
+                integrate_orbit(0.5, 0.0, OdeParams(0.0, 0.0), dt, 10)
+            assert exc.value.field_name == "dt"
 
 
 class TestPhasePortrait:
+    @pytest.mark.parametrize("field,value", [
+        ("dt", 0.0), ("dt", -1e-3), ("dt", np.nan), ("dt", np.inf),
+        ("x_max", 0.0), ("x_max", -1.0), ("x_max", np.nan), ("x_max", np.inf)])
+    def test_invalid_step_or_span(self, field, value):
+        # checked before the step count x_max / dt is formed
+        with pytest.raises(ValidationError) as exc:
+            phase_portrait(OdeParams(0.0, 0.0), (0.5,), **{field: value})
+        assert exc.value.field_name == field
+
     def test_homoclinic_launch_closure(self):
         # the separatrix through (q0, 0): integrating forward must close onto
         # the saddle along the closed-form loop; by X = 12 the reference has

@@ -17,6 +17,7 @@ from ehdsolitary import (
     make_params,
     residual,
 )
+from ehdsolitary.io import load_solution
 from ehdsolitary.spectral import CACHED_LEVELS, ddx, dtn, dtn_multiplier, harmonic_fields
 from ehdsolitary.system import NonFiniteTrace, SurfaceState, eliminated_t2
 from helpers import (
@@ -28,6 +29,8 @@ from helpers import (
     reference_lambda_min,
     reference_residual,
 )
+
+FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
 PARAM_GRID = [(g, e, a)
               for g in (-0.6, -0.2, 0.0, 0.3, 0.7)
@@ -293,13 +296,20 @@ class TestLambdaMin:
         assert state.lambda_min == expected
         assert lambda_min(state.t1, p, g) == expected
 
+    @pytest.mark.parametrize("index", [0, 20, 35, 44, 46, 50, 56])
+    def test_module_is_the_state_lambda_on_bench_states(self, index):
+        sol, _, _ = load_solution(FIXTURES / f"point_{index:05d}.json")
+        state = SurfaceState(sol.t1, sol.params, sol.grid)
+        assert lambda_min(sol.t1, sol.params, sol.grid) == state.lambda_min
+
     def test_non_finite_trace_gives_nan(self):
         # no NonFiniteTrace: the Newton loop reads nan as "not > 0"
         g = make_grid(8.0, 32)
-        t1 = np.zeros(32)
-        t1[3] = np.inf
-        with np.errstate(invalid="ignore"):
-            assert np.isnan(lambda_min(t1, make_params(0.0, 0.5, 1.0), g))
+        for bad in (np.nan, np.inf, -np.inf):
+            t1 = np.zeros(32)
+            t1[3] = bad
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(lambda_min(t1, make_params(0.0, 0.5, 1.0), g))
 
 
 class TestTransformCounts:
@@ -316,10 +326,11 @@ class TestTransformCounts:
         assert calls == {"rfft": 1, "irfft": 2}
 
     def test_module_lambda_min(self, monkeypatch):
+        # the state's surface transform pair, then its interior inverse
         state = crest_state(self.G, 0.4, 0.5)
         calls = count_transforms(monkeypatch)
         lambda_min(state.t1, state.params, self.G)
-        assert calls == {"rfft": 1, "irfft": 1}
+        assert calls == {"rfft": 1, "irfft": 2}
 
     @pytest.mark.parametrize("gamma", [0.0, -0.3, 0.4])
     def test_jacobian_apply(self, monkeypatch, gamma):
