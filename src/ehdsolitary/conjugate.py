@@ -5,6 +5,12 @@ bore-exclusion verdict.
 A bore would need two distinct depths sharing both the Bernoulli constant and
 the flow force; the convexity of the Bernoulli function rules this out, which
 these routines verify numerically.
+
+The critical and conjugate depths are the one positive roots of a quartic and
+a cubic in d.  Each is found with numpy alone: np.roots of the reciprocal
+polynomial in 1/d, whose leading coefficient -A (_depth_coefficients) never
+vanishes, polished by one Newton step on the polynomial in d.  This module
+loads no SciPy.
 """
 from __future__ import annotations
 
@@ -68,15 +74,36 @@ def _depth_coefficients(p: Params):
     return A, 0.25 * p.gamma ** 2
 
 
+def _positive_root(coeffs, lo: float, hi: float) -> float:
+    """The one positive root d in [lo, hi] of the polynomial in d with
+    coefficients coeffs (highest power first).
+
+    The roots are taken in u = 1/d, whose coefficients are coeffs reversed:
+    their leading coefficient -A stays away from 0 where the one in d,
+    gamma^2/4, vanishes.  The single positive real u is polished by one
+    Newton step on the polynomial in d.
+    """
+    u = np.roots(coeffs[::-1])
+    positive = u.real[(u.imag == 0.0) & (u.real > 0.0)]
+    if positive.size != 1:
+        raise ValueError(f"expected one positive root in 1/d, found {positive.size}")
+    d = 1.0 / float(positive[0])
+    value = slope = 0.0
+    for c in coeffs:          # Horner for the polynomial and its derivative
+        slope = slope * d + value
+        value = value * d + c
+    d -= value / slope
+    if not lo <= d <= hi:
+        raise ValueError(f"depth {d!r} outside its bracket [{lo!r}, {hi!r}]")
+    return d
+
+
 def find_dcr(p: Params) -> float:
     """Depth minimizing the Bernoulli function: qhat'(d) d^3 / 2 =
     b^2 d^4 + alpha d^3 - A increases on d > 0 from -A, and is positive at
     1 + A/alpha, so its one positive root lies in (0, 1 + A/alpha)."""
-    from scipy.optimize import brentq   # loaded by the first root only
-
     A, b2 = _depth_coefficients(p)
-    return float(brentq(lambda d: b2 * d ** 4 + p.alpha * d ** 3 - A,
-                        0.0, 1.0 + A / p.alpha, xtol=1e-14, rtol=8.9e-16))
+    return _positive_root((b2, p.alpha, 0.0, 0.0, -A), 0.0, 1.0 + A / p.alpha)
 
 
 def find_dstar(p: Params) -> Optional[float]:
@@ -92,11 +119,8 @@ def find_dstar(p: Params) -> Optional[float]:
     A, b2 = _depth_coefficients(p)
     if abs(p.alpha - p.alpha_cr) < _EQ_TOL:
         return None
-    from scipy.optimize import brentq
-
     lo, hi = (1.0, 1.0 + A / p.alpha) if p.alpha < p.alpha_cr else (0.0, 1.0)
-    return float(brentq(lambda d: ((b2 * d + b2 + 2.0 * p.alpha) * d - A) * d - A,
-                        lo, hi, xtol=1e-14, rtol=8.9e-16))
+    return _positive_root((b2, b2 + 2.0 * p.alpha, -A, -A), lo, hi)
 
 
 def bore_verdict(p: Params) -> ConjugateFlowReport:

@@ -129,23 +129,12 @@ def _level_multipliers(g: Grid, y: float):
     return _sinh_ratio(k, y), _cosh_ratio(k, y)
 
 
-def harmonic_fields(t: np.ndarray, g: Grid, ys):
-    """The harmonic extension w of t and its derivatives w_x, w_y at each
-    height y of ys in [0, 1], each of shape (len(ys),) + t.shape, from one
-    forward and one inverse transform.
-
-    t may be a batch of traces on its leading axes.  The row at y = 1 is
-    exactly t, ddx(t) and dtn(t).  The multipliers at CACHED_LEVELS are read
-    from the grid; those at any other height are built per call.
-    """
-    t = _check_trace(t, g)
-    ys = [_check_height(y) for y in ys]
-    return _fields_from_spectrum(np.fft.rfft(t, axis=-1), t, g, ys)
-
-
 def _fields_from_spectrum(c: np.ndarray, t: np.ndarray, g: Grid, ys):
-    """harmonic_fields of t from its spectrum c, every transformed row in one
-    stacked inverse transform."""
+    """The harmonic extension w of t and its derivatives w_x, w_y at each
+    height y of ys, from t's spectrum c: each of shape (len(ys),) + t.shape,
+    every transformed row in one stacked inverse transform.  The row at
+    y = 1 is exactly t, ddx(t) and dtn(t).  The multipliers at CACHED_LEVELS
+    are read from the grid; those at any other height are built per call."""
     cx = c * g.ddx_symbol
     mults = [g.level_symbols.get(y) or _level_multipliers(g, y) for y in ys]
     interior = [sinh for y, (sinh, _) in zip(ys, mults) if y != 1.0]

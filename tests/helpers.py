@@ -1,13 +1,15 @@
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lu_factor
+from scipy.optimize import brentq
 
+from ehdsolitary.conjugate import _EQ_TOL, _depth_coefficients
 from ehdsolitary.diagnostics import _flow_force_spectra, _flow_force_stations
 from ehdsolitary.model import BaseParams, Grid, Params, make_params
 from ehdsolitary.reduced_ode import OdeParams, _rk4_step
 from ehdsolitary.spectral import (_apply_multiplier, _check_height, _check_trace,
-                                  _cosh_ratio, cosine_coefficients, ddx, dtn,
-                                  harmonic_fields)
+                                  _cosh_ratio, _fields_from_spectrum,
+                                  cosine_coefficients, ddx, dtn)
 from ehdsolitary.system import (INTERIOR_LEVELS, SurfaceState, _require_finite,
                                 eliminated_t2, jacobian_apply)
 
@@ -45,6 +47,21 @@ def eval_interior_dy(t, g, y):
     """
     y = _check_height(y)
     return _apply_multiplier(_check_trace(t, g), _cosh_ratio(g.wavenumbers, y))
+
+
+def harmonic_fields(t, g, ys):
+    """The harmonic extension w of t and its derivatives w_x, w_y at each
+    height y of ys in [0, 1], each of shape (len(ys),) + t.shape, from one
+    forward and one inverse transform: the direct evaluation that
+    SurfaceState.level_fields reads from its cached spectrum.
+
+    t may be a batch of traces on its leading axes.  The row at y = 1 is
+    exactly t, ddx(t) and dtn(t).  The multipliers at CACHED_LEVELS are read
+    from the grid; those at any other height are built per call.
+    """
+    t = _check_trace(t, g)
+    ys = [_check_height(y) for y in ys]
+    return _fields_from_spectrum(np.fft.rfft(t, axis=-1), t, g, ys)
 
 
 def homoclinic_exact(x, p: OdeParams):
@@ -112,6 +129,25 @@ def qhat_second(d: float, p: Params):
     d = np.asarray(d, dtype=float)
     val = 1.5 * (2.0 - p.gamma) ** 2 / d ** 4 + 0.5 * p.gamma ** 2 + 6.0 * p.eps1 / d ** 4
     return float(val) if val.ndim == 0 else val
+
+
+def reference_dcr(p: Params) -> float:
+    """Critical depth by brentq on its closed-form bracket: the oracle for
+    conjugate.find_dcr."""
+    A, b2 = _depth_coefficients(p)
+    return float(brentq(lambda d: b2 * d ** 4 + p.alpha * d ** 3 - A,
+                        0.0, 1.0 + A / p.alpha, xtol=1e-14, rtol=8.9e-16))
+
+
+def reference_dstar(p: Params):
+    """Conjugate depth by brentq on its closed-form bracket, None at the
+    critical speed: the oracle for conjugate.find_dstar."""
+    A, b2 = _depth_coefficients(p)
+    if abs(p.alpha - p.alpha_cr) < _EQ_TOL:
+        return None
+    lo, hi = (1.0, 1.0 + A / p.alpha) if p.alpha < p.alpha_cr else (0.0, 1.0)
+    return float(brentq(lambda d: ((b2 * d + b2 + 2.0 * p.alpha) * d - A) * d - A,
+                        lo, hi, xtol=1e-14, rtol=8.9e-16))
 
 
 # Residual, linearization and alpha derivative as each re-derives the base

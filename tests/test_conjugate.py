@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from ehdsolitary import (
     bore_verdict,
+    conjugate,
     find_dcr,
     find_dstar,
     make_params,
@@ -12,9 +15,47 @@ from ehdsolitary import (
     shat,
 )
 
-from helpers import qhat_prime, qhat_second
+from helpers import qhat_prime, qhat_second, reference_dcr, reference_dstar
 
 P_REF = dict(gamma=0.0, eps1=0.5, alpha=1.0)
+EPS = np.finfo(float).eps
+
+
+def cube_sample(n, seed):
+    """n Params from the A5 cube: gamma in [-0.9, 0.9], eps1 in [0, 2],
+    alpha in [0.05, 3], at least 0.02 away from alpha_cr."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        p = make_params(*rng.uniform((-0.9, 0.0, 0.05), (0.9, 2.0, 3.0)))
+        if abs(p.alpha - p.alpha_cr) >= 0.02:
+            out.append(p)
+    return out
+
+
+# gamma near 2 with eps1 = 0 makes A = (1 - gamma/2)^2 tiny and both depths
+# small; gamma near 0 makes the quartic's and the cubic's leading
+# coefficient gamma^2/4 vanish
+EDGE_PARAMS = [(g, e, a)
+               for g in (1.9, 1.999, 1.9999999, 1.99999999999, 2.0000001,
+                         1e-12, -1e-12, 0.0)
+               for e in (0.0, 1e-12)
+               for a in (0.001, 0.7, 3.0)]
+
+
+def backward_error(coeffs, d):
+    """|P(d)| / sum_k |c_k d^k| for the polynomial with float coefficients
+    coeffs (highest power first), evaluated exactly."""
+    terms = [Fraction(c) * Fraction(d) ** k
+             for k, c in enumerate(reversed(coeffs))]
+    return float(abs(sum(terms)) / sum(abs(t) for t in terms))
+
+
+def depth_polynomials(p):
+    """The quartic of d_cr and the cubic of d_star, as find_dcr and
+    find_dstar's docstrings state them."""
+    A, b2 = conjugate._depth_coefficients(p)
+    return [b2, p.alpha, 0.0, 0.0, -A], [b2, b2 + 2.0 * p.alpha, -A, -A]
 
 
 def params_strategy():
@@ -117,6 +158,57 @@ class TestConjugateDepth:
             assert d_star > d_cr
         else:
             assert d_star < d_cr
+
+
+class TestPolynomialRoots:
+    """Both depths are polished polynomial roots: a relative backward error
+    of a few rounding errors, at every scale of the depth."""
+
+    @staticmethod
+    def worst_backward_errors(params):
+        worst_cr = worst_star = 0.0
+        for p in params:
+            quartic, cubic = depth_polynomials(p)
+            worst_cr = max(worst_cr, backward_error(quartic, find_dcr(p)))
+            worst_star = max(worst_star, backward_error(cubic, find_dstar(p)))
+        return worst_cr / EPS, worst_star / EPS
+
+    def test_backward_error_on_cube(self):
+        worst = self.worst_backward_errors(cube_sample(300, seed=11))
+        assert max(worst) <= 16.0, worst
+
+    @pytest.mark.parametrize("gamma, eps1, alpha", EDGE_PARAMS)
+    def test_backward_error_at_edges(self, gamma, eps1, alpha):
+        worst = self.worst_backward_errors([make_params(gamma, eps1, alpha)])
+        assert max(worst) <= 16.0, worst
+
+    def test_small_conjugate_depth_keeps_relative_accuracy(self):
+        # an absolute root tolerance of 1e-14 leaves this depth of 5e-8
+        # accurate to about 2e-9 only
+        p = make_params(1.9999999, 0.0, 0.001)
+        assert find_dstar(p) == pytest.approx(4.995007739939143e-08, rel=1e-14, abs=0.0)
+
+    def test_agrees_with_bracketing_oracle(self, monkeypatch):
+        # the same verdicts as from brentq on the closed-form brackets
+        cube = cube_sample(10_000, seed=12)
+        ours = [bore_verdict(p) for p in cube]
+        monkeypatch.setattr(conjugate, "find_dcr", reference_dcr)
+        monkeypatch.setattr(conjugate, "find_dstar", reference_dstar)
+        refs = [bore_verdict(p) for p in cube]
+        worst_cr = max(abs(a.d_cr - b.d_cr) / b.d_cr for a, b in zip(ours, refs))
+        worst_star = max(abs(a.d_star - b.d_star) / b.d_star for a, b in zip(ours, refs))
+        assert worst_cr <= 1e-13 and worst_star <= 1e-13, (worst_cr, worst_star)
+        assert [(r.bore_excluded, r.sign_consistent) for r in ours] == \
+            [(r.bore_excluded, r.sign_consistent) for r in refs]
+
+    def test_more_than_one_positive_root_rejected(self):
+        # (d - 1)(d - 2)
+        with pytest.raises(ValueError, match="one positive root"):
+            conjugate._positive_root((1.0, -3.0, 2.0), 0.0, 3.0)
+
+    def test_root_outside_bracket_rejected(self):
+        with pytest.raises(ValueError, match="outside its bracket"):
+            conjugate._positive_root((1.0, -3.0), 0.0, 1.0)
 
 
 class TestNoPositiveDepth:

@@ -22,10 +22,11 @@ from ehdsolitary.diagnostics import full_report, gamma_field_arrays, hard_violat
 from ehdsolitary.io import load_solution
 from ehdsolitary.model import WaveSolution
 from ehdsolitary.newton import build_solution
-from ehdsolitary.spectral import dtn, dtn_multiplier, harmonic_fields
+from ehdsolitary.spectral import dtn, dtn_multiplier
 from ehdsolitary.system import INTERIOR_LEVELS, SurfaceState
 
-from helpers import count_transforms, flow_force_all_stations, reference_flow_force
+from helpers import (count_transforms, flow_force_all_stations, harmonic_fields,
+                     reference_flow_force)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 

@@ -12,13 +12,13 @@ from ehdsolitary.spectral import (
     _sinh_ratio,
     cosine_coefficients,
     dtn_multiplier,
-    harmonic_fields,
     surface_fields,
     values_from_cosine,
 )
 from ehdsolitary import spectral
 
-from helpers import cosine_basis, count_transforms, eval_interior_dy, random_even_trace
+from helpers import (cosine_basis, count_transforms, eval_interior_dy, harmonic_fields,
+                     random_even_trace)
 
 
 def fd6_derivative(values, h):

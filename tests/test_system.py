@@ -18,11 +18,12 @@ from ehdsolitary import (
     residual,
 )
 from ehdsolitary.io import load_solution
-from ehdsolitary.spectral import CACHED_LEVELS, ddx, dtn, dtn_multiplier, harmonic_fields
+from ehdsolitary.spectral import CACHED_LEVELS, ddx, dtn, dtn_multiplier
 from ehdsolitary.system import NonFiniteTrace, SurfaceState, eliminated_t2
 from helpers import (
     count_transforms,
     crest_state,
+    harmonic_fields,
     random_even_trace,
     reference_alpha_derivative,
     reference_jacobian_apply,
@@ -370,7 +371,9 @@ branch = continue_branch(BaseParams(0.0, 0.5),
 assert len(branch.points) == 3, branch.stop_reason
 assert "scipy.optimize" not in sys.modules, "the solver path loaded scipy.optimize"
 p, q = make_params(0.2, 0.3, 1.5), make_params(0.1, 0.5, 1.0)
-first = [dispersion_root(p), find_dcr(q), find_dstar(q)]
+depths = [find_dcr(q), find_dstar(q)]
+assert "scipy.optimize" not in sys.modules, "the depth roots loaded scipy.optimize"
+first = [dispersion_root(p)] + depths
 assert "scipy.optimize" in sys.modules
 again = [dispersion_root(p), find_dcr(q), find_dstar(q)]
 print(" ".join(x.hex() for x in first), "|", " ".join(x.hex() for x in again))
@@ -378,9 +381,10 @@ print(" ".join(x.hex() for x in first), "|", " ".join(x.hex() for x in again))
 
 
 def test_solver_path_does_not_load_scipy_optimize():
-    # a fresh interpreter: the package, the CLI module and a short branch run
-    # leave scipy.optimize unloaded; the root finders import it on first use
-    # and return the same bits on every call
+    # a fresh interpreter: the package, the CLI module, a short branch run and
+    # the two depth roots (numpy polynomial roots) leave scipy.optimize
+    # unloaded; dispersion_root imports it on first use; every root finder
+    # returns the same bits on every call
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -402,14 +406,20 @@ def scipy_modules():
 
 import ehdsolitary, ehdsolitary.cli
 assert not scipy_modules(), scipy_modules()
-from ehdsolitary import (BaseParams, NewtonConfig, OdeParams, full_report,
-                         init_small, integrate_orbit, make_grid, newton_solve)
+from ehdsolitary import (BaseParams, NewtonConfig, OdeParams, bore_verdict,
+                         full_report, init_small, integrate_orbit, make_grid,
+                         make_params, newton_solve)
 from ehdsolitary.io import load_solution
 
 sol, _, _ = load_solution(sys.argv[1])
 full_report(sol)
 p_ode = OdeParams(0.0, 0.0)
 integrate_orbit(p_ode.q0, 0.0, p_ode, 1e-2, 200)
+assert not scipy_modules(), scipy_modules()
+for alpha in (1.0, 1.5, 2.0):
+    bore_verdict(make_params(0.0, 0.5, alpha))
+assert ehdsolitary.cli.main(["conjugate", "--gamma", "0.3", "--eps1", "0.5",
+                             "--alpha", "1.0"]) == 0
 assert not scipy_modules(), scipy_modules()
 
 g = make_grid(256.0, 512)
@@ -425,7 +435,8 @@ assert "scipy.sparse.linalg" in sys.modules
 
 def test_read_side_loads_no_scipy():
     # a fresh interpreter: importing the package and the CLI module, loading
-    # and checking a solution and integrating an orbit load no SciPy at all;
+    # and checking a solution, integrating an orbit, the bore verdict and the
+    # conjugate command load no SciPy at all;
     # the first dense step loads scipy.linalg alone, the first Krylov step
     # scipy.sparse.linalg
     root = Path(__file__).resolve().parents[1]
