@@ -2,18 +2,11 @@
 stepping in the distance to the critical speed, pseudo-arclength stepping at
 larger amplitude, and the limit monitors as stop conditions.
 
-Every point, the first included, is one step: predict, correct with
-newton_solve, adapt the box, accept, control the step.  The stages differ in
-their predictor and in what a failure does, nothing else.
-
-The periodic box is adapted on the fly: it is widened (L and N grown by
-WIDEN_FACTOR, spacing kept) whenever the measured tail exceeds tolerance,
-refined (N doubled at fixed L) when the cosine spectrum carries energy near
-the Nyquist band, and conservatively halved when the profile has become much
-narrower than the box.  All three regrid operations are exact on the
-trigonometric interpolant of an even trace.  A regrid commits, moving the
-current grid and the stored last point and secant, only when its fixed-alpha
-re-solve on the new grid succeeds.
+continue_branch is a loop over steps, one per point, the first included:
+_step predicts, corrects with newton_solve and adapts the box (_adapt) and
+returns a frozen StepRecord, which the loop alone folds into its state (the
+grid, the last point and secant, the points, the step control).  The stages
+differ in their predictor and in what a failure does.
 
 Step control and grid adaptation are module constants; ContinuationConfig
 holds only what a branch header records, plus the Newton configuration.
@@ -233,144 +226,151 @@ def _family_tangent(eps: float, p0: BaseParams, g: Grid):
     return prefactor / np.cosh(u) ** 2 * (1.0 - u * np.tanh(u)), -1.0
 
 
+@dataclass(frozen=True)
+class StepRecord:
+    """What a step hands the loop: the adequate solution, or an error (its
+    traceback dropped, as it pins the failed solve's arrays) with sol None if
+    prediction or corrector failed, else the last solution before it."""
+    sol: Optional[WaveSolution]
+    error: Optional[Exception] = None
+    iters: int = 0              # corrector iterations
+    adequate_iters: int = 0     # iterations of the solve that produced sol
+    regrids: tuple = ()         # committed (regrid, source grid, new grid)
+
+
+def _adapt(sol: WaveSolution, iters: int, cfg: ContinuationConfig):
+    """Adapt the box to a converged solution: refine (N doubled at fixed L)
+    while the cosine spectrum carries energy near Nyquist, widen (L and N
+    grown by WIDEN_FACTOR, spacing kept) while the tail exceeds tail_tol,
+    then halve an oversized box.  Each regrid re-solves at fixed alpha and
+    commits when that solve succeeds, a halving only when its tail passes
+    too.  Returns (sol, iters, regrids, error): the adequate solution, the
+    iterations of the solve behind it (a halving does not count), the
+    committed regrids, and the NewtonError that ended adaptation, or None."""
+    regrids = []
+    for _ in range(8):
+        g_sol = sol.grid
+        if (_mode_tail_fraction(sol.t1, g_sol) > MODE_TAIL_TOL
+                and 2 * g_sol.n_points <= N_MAX):
+            regrid = refine_grid
+        elif sol.tail > cfg.tail_tol:
+            regrid = widen_grid
+        elif (_inner_tail(sol.t1, g_sol) < SHRINK_SAFETY * cfg.tail_tol
+                and 0.5 * g_sol.half_length >= MIN_HALF_LENGTH):
+            regrid = shrink_grid
+        else:
+            return sol, iters, regrids, None
+        halving = regrid is shrink_grid
+        moved = regrid(sol.t1, g_sol)
+        if moved is None:
+            return sol, iters, regrids, None
+        t_new, g_new = moved
+        if g_new.n_points > N_MAX:
+            return sol, iters, regrids, NewtonError(
+                f"tail {sol.tail:.2e} above tolerance but the mode "
+                f"budget n_max={N_MAX} is exhausted")
+        try:
+            new = newton_solve(t_new, sol.params, g_new, cfg.newton)
+        except NewtonError as exc:
+            return sol, iters, regrids, None if halving else exc.with_traceback(None)
+        if halving and new.tail > cfg.tail_tol:
+            return sol, iters, regrids, None
+        regrids.append((regrid, g_sol, g_new))
+        if halving:
+            return new, iters, regrids, None
+        sol, iters = new, len(new.norm_history) - 1
+    return sol, iters, regrids, NewtonError(
+        "box adaptation did not settle within 8 rounds")
+
+
+def _step(p0: BaseParams, g: Grid, cfg: ContinuationConfig,
+          eps: Optional[float] = None, arc: Optional[tuple] = None) -> StepRecord:
+    """Predict, correct with newton_solve on g, adapt the box.  arc None
+    predicts the initializer at eps; arc = (prev, ds, tan_t, tan_a) predicts
+    ds along the unit tangent and corrects on the arclength hyperplane."""
+    try:
+        if arc is None:
+            t_pred, p_pred = init_small(eps, p0, g)
+            tangent = None
+        else:
+            prev, ds, tan_t, tan_a = arc
+            c = cosine_coefficients(tan_t, g)
+            c_norm = float(np.sqrt(c @ c + tan_a * tan_a))
+            tangent = (c / c_norm, tan_a / c_norm)
+            t_pred = prev[0] + ds * tan_t
+            # with_alpha raises ValidationError for alpha <= 0
+            p_pred = p0.with_alpha(prev[1] + ds * tan_a)
+        sol = newton_solve(t_pred, p_pred, g, cfg.newton, tangent=tangent)
+    except (NewtonError, ValidationError) as exc:
+        return StepRecord(None, exc.with_traceback(None))
+    iters = len(sol.norm_history) - 1
+    sol, adequate_iters, regrids, error = _adapt(sol, iters, cfg)
+    return StepRecord(sol, error, iters, adequate_iters, tuple(regrids))
+
+
+def _accept(sol: WaveSolution, s: float, cfg: ContinuationConfig):
+    """Check a converged candidate at arclength s with one SurfaceState for
+    the monitors, lambda and the nodal check.  Returns (point, stop_reason,
+    note); point is None on a nodal defect."""
+    p = sol.params
+    state = SurfaceState(sol.t1, p, sol.grid)
+    m1, m2, m3 = state.monitors
+    lam = state.lambda_min
+    nod = nodal_check(state, tail_floor=10.0 * cfg.tail_tol)
+    if not nod.passed:
+        return None, "STEP_FAILURE", (f"defect: nodal monotonicity failed at "
+                                      f"{len(nod.violations)} sample(s)")
+    point = BranchPoint(s=s, alpha=p.alpha, amplitude=sol.amplitude,
+                        monitor_m1=m1, monitor_m2=m2, monitor_m3=m3, froude=p.froude,
+                        lambda_min=lam, residual_norm=sol.residual_norm)
+    crossed = (m1 < cfg.resolved_m1_tol(p.eps1), m2 < cfg.m2_tol,
+               m3 > cfg.m3_cap, p.froude > cfg.f_cap)
+    # the first crossed monitor, in MONITOR_TRIGGERS order, stops the branch
+    return point, next((r for r, on in zip(MONITOR_TRIGGERS, crossed) if on), None), ""
+
+
 def continue_branch(p0: BaseParams, g: Grid,
                     cfg: ContinuationConfig = ContinuationConfig()) -> Branch:
-    """Follow the solitary branch from the small-amplitude end.
-
-    Every point, the first included, is one step: predict, correct with
-    newton_solve, adapt the box, accept, then control the step.  The first
-    point and the eps stage predict the asymptotic initializer at eps, which
-    grows geometrically while the corrector converges fast; the arclength
-    stage predicts along the secant into the last point and corrects on the
-    arclength hyperplane.  After each accepted point the limit monitors, the
-    admissibility quantity, the decay tail, and the nodal property are
-    recorded and checked.  Stops on a monitor threshold, a step-size
-    underflow, a detected defect, or the point budget.
-    """
-    m1_tol = cfg.resolved_m1_tol(p0.eps1)
+    """Follow the solitary branch from the small-amplitude end: the eps stage
+    predicts the initializer at eps growing geometrically while the corrector
+    converges fast, the arclength stage along the secant into the last point.
+    Stops on a monitor threshold, a step-size underflow, a failed box
+    adaptation, a detected defect, or the point budget."""
     thresholds = {
-        "m1_tol": m1_tol, "m2_tol": cfg.m2_tol, "m3_cap": cfg.m3_cap,
-        "f_cap": cfg.f_cap, "tail_tol": cfg.tail_tol,
+        "m1_tol": cfg.resolved_m1_tol(p0.eps1), "m2_tol": cfg.m2_tol,
+        "m3_cap": cfg.m3_cap, "f_cap": cfg.f_cap, "tail_tol": cfg.tail_tol,
         "eps_start": cfg.eps_start, "max_points": cfg.max_points,
     }
-    points: list = []
-    sols: list = []
-    note = ""
+    points, sols = [], []
     stop_reason: Optional[str] = None
 
     g_cur = g
     prev: Optional[tuple] = None     # (t1, alpha) of the last point, on g_cur
     secant: Optional[tuple] = None   # (dt1, dalpha) into prev, on g_cur
     s_val = 0.0
-
-    def adapt(sol: WaveSolution, iters: int):
-        """Box adequacy of a converged solution: refine while the cosine
-        spectrum carries energy near Nyquist, widen while the tail exceeds
-        tail_tol, then halve an oversized box.  Each regrid re-solves at
-        fixed alpha on the new grid, and only a successful re-solve moves
-        g_cur and the stored traces; a halving is kept only when its tail
-        passes, else the point stays on its box.  Returns the adequate
-        solution and the iteration count of the solve that produced it (a
-        halving does not count)."""
-        nonlocal g_cur, prev, secant
-        for _ in range(8):
-            g_sol = sol.grid
-            if (_mode_tail_fraction(sol.t1, g_sol) > MODE_TAIL_TOL
-                    and 2 * g_sol.n_points <= N_MAX):
-                regrid = refine_grid
-            elif sol.tail > cfg.tail_tol:
-                regrid = widen_grid
-            elif (_inner_tail(sol.t1, g_sol) < SHRINK_SAFETY * cfg.tail_tol
-                    and 0.5 * g_sol.half_length >= MIN_HALF_LENGTH):
-                regrid = shrink_grid
-            else:
-                return sol, iters
-            halving = regrid is shrink_grid
-            moved = regrid(sol.t1, g_sol)
-            if moved is None:
-                return sol, iters
-            t_new, g_new = moved
-            if g_new.n_points > N_MAX:
-                raise NewtonError(
-                    f"tail {sol.tail:.2e} above tolerance but the mode "
-                    f"budget n_max={N_MAX} is exhausted")
-            try:
-                new = newton_solve(t_new, sol.params, g_new, cfg.newton)
-            except NewtonError:
-                if halving:
-                    return sol, iters
-                raise
-            if halving and new.tail > cfg.tail_tol:
-                return sol, iters
-            if prev is not None:
-                prev = (regrid(prev[0], g_sol)[0], prev[1])
-            if secant is not None:
-                secant = (regrid(secant[0], g_sol)[0], secant[1])
-            g_cur = g_new
-            if halving:
-                return new, iters
-            sol, iters = new, len(new.norm_history) - 1
-        raise NewtonError("box adaptation did not settle within 8 rounds")
-
-    def accept(sol: WaveSolution) -> bool:
-        """Record a converged point; returns False when the branch must stop."""
-        nonlocal s_val, prev, secant, stop_reason, note
-        p = sol.params
-        # one state serves the monitors, lambda and the nodal check
-        state = SurfaceState(sol.t1, p, sol.grid)
-        m1, m2, m3 = state.monitors
-        lam = state.lambda_min
-        nod = nodal_check(state, tail_floor=10.0 * cfg.tail_tol)
-        if not nod.passed:
-            stop_reason = "STEP_FAILURE"
-            note = (f"defect: nodal monotonicity failed at "
-                    f"{len(nod.violations)} sample(s)")
-            return False
-        if prev is not None:
-            secant = (sol.t1 - prev[0], p.alpha - prev[1])
-            s_val += _step_length(*secant)
-        points.append(BranchPoint(
-            s=s_val, alpha=p.alpha, amplitude=sol.amplitude,
-            monitor_m1=m1, monitor_m2=m2, monitor_m3=m3,
-            froude=p.froude, lambda_min=lam, residual_norm=sol.residual_norm))
-        sols.append(sol)
-        prev = (sol.t1.copy(), p.alpha)
-        if m1 < m1_tol:
-            stop_reason = "M1_VANISHING"
-        elif m2 < cfg.m2_tol:
-            stop_reason = "M2_VANISHING"
-        elif m3 > cfg.m3_cap:
-            stop_reason = "M3_BLOWUP"
-        elif p.froude > cfg.f_cap:
-            stop_reason = "FROUDE_BLOWUP"
-        return stop_reason is None
-
     eps = cfg.eps_start
     stage = "eps"
     ds = None
     while stop_reason is None:
         if len(points) >= cfg.max_points:
-            stop_reason = "BUDGET"
-            note = "point budget exhausted"
+            stop_reason, note = "BUDGET", "point budget exhausted"
             break
 
-        # predict
         if stage == "eps":
             eps_new = eps * EPS_GROWTH if points else eps
-            # an eps_new past init_small's regime fails in the correction
-            # below, which also switches to arclength
+            # an eps_new past init_small's regime fails in the corrector,
+            # which also switches to arclength
             if points and p0.alpha_cr - eps_new <= 1e-4 * p0.alpha_cr:
                 stage = "arc"
                 continue
-            tangent = None
+            step = _step(p0, g_cur, cfg, eps_new)
         else:
             # with one eps-stage point there is no secant: take the family's
             tan_t, tan_a = (secant if secant is not None
                             else _family_tangent(eps, p0, g_cur))
             scale = _step_length(tan_t, tan_a)
             if scale == 0.0:
-                stop_reason = "STEP_FAILURE"
-                note = "degenerate tangent"
+                stop_reason, note = "STEP_FAILURE", "degenerate tangent"
                 break
             if ds is None:
                 # the first arclength step repeats the last secant step
@@ -379,46 +379,47 @@ def continue_branch(p0: BaseParams, g: Grid,
                 stop_reason = "STEP_FAILURE"
                 note = f"step size underflowed below {DS_MIN:.1e}"
                 break
-            tan_t, tan_a = tan_t / scale, tan_a / scale
-            c = cosine_coefficients(tan_t, g_cur)
-            c_norm = float(np.sqrt(c @ c + tan_a * tan_a))
-            tangent = (c / c_norm, tan_a / c_norm)
+            step = _step(p0, g_cur, cfg, arc=(prev, ds, tan_t / scale, tan_a / scale))
 
-        # correct and adapt
-        sol = None
-        try:
-            if stage == "eps":
-                t_pred, p_pred = init_small(eps_new, p0, g_cur)
-            else:
-                t_pred = prev[0] + ds * tan_t
-                # with_alpha raises ValidationError for alpha <= 0
-                p_pred = p0.with_alpha(prev[1] + ds * tan_a)
-            sol = newton_solve(t_pred, p_pred, g_cur, cfg.newton, tangent=tangent)
-            iters = len(sol.norm_history) - 1
-            sol, adequate_iters = adapt(sol, iters)
-        except (NewtonError, ValidationError) as exc:
+        # committed regrids stand, also when a later adaptation round failed
+        for regrid, g_src, g_new in step.regrids:
+            if prev is not None:
+                prev = (regrid(prev[0], g_src)[0], prev[1])
+            if secant is not None:
+                secant = (regrid(secant[0], g_src)[0], secant[1])
+            g_cur = g_new
+
+        if step.error is not None:
+            exc = step.error
             if not points:
                 if isinstance(exc, ValidationError):
-                    raise
+                    raise exc
                 raise NewtonError(f"branch start failed at eps={eps}: {exc}") from exc
             if stage == "eps":
                 stage = "arc"
-            elif sol is None:
+            elif step.sol is None:
                 ds *= DS_SHRINK
             else:
-                stop_reason = "STEP_FAILURE"
-                note = f"box adaptation failed: {exc}"
+                stop_reason, note = "STEP_FAILURE", f"box adaptation failed: {exc}"
             continue
 
-        if not accept(sol):
+        # a defect stops the branch, so the secant may move before the check
+        sol = step.sol
+        if prev is not None:
+            secant = (sol.t1 - prev[0], sol.params.alpha - prev[1])
+            s_val += _step_length(*secant)
+        point, stop_reason, note = _accept(sol, s_val, cfg)
+        if point is None:
             break
-        if stage == "arc":
-            if max(iters, adequate_iters) <= FAST_ITERS:
-                ds = min(ds * DS_GROW, DS_MAX)
-        else:
-            if len(points) > 1 and adequate_iters > EPS_SWITCH_ITERS:
-                stage = "arc"
+        points.append(point)
+        sols.append(sol)
+        prev = (sol.t1.copy(), sol.params.alpha)
+        if stage == "eps":
             eps = eps_new
+            if len(points) > 1 and step.adequate_iters > EPS_SWITCH_ITERS:
+                stage = "arc"
+        elif max(step.iters, step.adequate_iters) <= FAST_ITERS:
+            ds = min(ds * DS_GROW, DS_MAX)
 
     return Branch(points=points, solutions=sols, stop_reason=stop_reason,
                   note=note, thresholds=thresholds)
@@ -434,7 +435,8 @@ _EXPLANATIONS = {
                   "conformal parametrization degenerates"),
     "FROUDE_BLOWUP": "the dimensionless wave speed grows without bound",
     "BUDGET": "point budget exhausted before any limit indicator triggered",
-    "STEP_FAILURE": "step size underflow or a detected defect",
+    "STEP_FAILURE": ("step size underflow, a failed box adaptation (mode "
+                     "budget or 8 rounds exhausted) or a detected defect"),
 }
 
 
@@ -456,13 +458,11 @@ def classify_stop(b: Branch, p) -> StopReport:
     case = "gamma>0" if gamma > 0 else ("gamma<0" if gamma < 0 else "gamma=0")
     reason = b.stop_reason
     explanation = _EXPLANATIONS.get(reason, "unknown stop reason")
-    if reason not in MONITOR_TRIGGERS:
-        return StopReport(stop_reason=reason, gamma_case=case, admissible=None,
-                          discrepancy=False,
-                          explanation=explanation + (f" ({b.note})" if b.note else ""))
-    ok = reason in admissible_triggers(gamma)
-    if not ok:
+    ok = reason in admissible_triggers(gamma) if reason in MONITOR_TRIGGERS else None
+    if ok is None and b.note:
+        explanation += f" ({b.note})"
+    elif ok is False:
         explanation += ("; NOT in the admissible limit set for this vorticity "
                         "sign - flagged as a discrepancy")
     return StopReport(stop_reason=reason, gamma_case=case, admissible=ok,
-                      discrepancy=not ok, explanation=explanation)
+                      discrepancy=ok is False, explanation=explanation)

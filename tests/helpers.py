@@ -113,6 +113,19 @@ def closed_orbit_return(q0, p, dt=1e-3, max_steps=200_000):
     return None
 
 
+def a5_cube_sample(n: int, seed: int, depth: bool = False) -> list:
+    """n Params from the A5 cube: gamma in [-0.9, 0.9], eps1 in [0, 2],
+    alpha in [0.05, 3], at least 0.02 away from alpha_cr.  With depth, each
+    comes as (p, d) with a depth d in [0.2, 5] drawn right after it."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        p = make_params(*rng.uniform((-0.9, 0.0, 0.05), (0.9, 2.0, 3.0)))
+        if abs(p.alpha - p.alpha_cr) >= 0.02:
+            out.append((p, rng.uniform(0.2, 5.0)) if depth else p)
+    return out
+
+
 def qhat_prime(d: float, p: Params):
     d = np.asarray(d, dtype=float)
     a = 0.5 * (2.0 - p.gamma)

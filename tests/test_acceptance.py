@@ -43,7 +43,8 @@ from ehdsolitary.continuation import (
 from ehdsolitary.newton import build_solution
 from ehdsolitary.spectral import dtn, dtn_multiplier
 
-from helpers import homoclinic_exact, homoclinic_slope, qhat_second, random_even_trace
+from helpers import (a5_cube_sample, homoclinic_exact, homoclinic_slope, qhat_second,
+                     random_even_trace)
 from three_component import newton_solve_three_component
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "reference.json"
@@ -195,19 +196,10 @@ def test_a4_flow_force_invariance(gamma, eps1, eps):
 
 
 # ---------------------------------------------------------------- A5 / A6
-def _conjugate_samples(n=100, seed=20240809):
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
-        gamma = rng.uniform(-0.9, 0.9)
-        eps1 = rng.uniform(0.0, 2.0)
-        alpha = rng.uniform(0.05, 3.0)
-        p = make_params(gamma, eps1, alpha)
-        if abs(alpha - p.alpha_cr) < 0.02:
-            continue              # numerically distinct from the tangency
-        d = rng.uniform(0.2, 5.0)
-        out.append((p, d))
-    return out
+def _conjugate_samples():
+    """100 (p, d) samples of the A5 cube, each 0.02 or more away from the
+    tangency alpha = alpha_cr."""
+    return a5_cube_sample(100, seed=20240809, depth=True)
 
 
 def test_a5_conjugate_flow_identities():

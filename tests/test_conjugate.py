@@ -15,22 +15,11 @@ from ehdsolitary import (
     shat,
 )
 
-from helpers import qhat_prime, qhat_second, reference_dcr, reference_dstar
+from helpers import (a5_cube_sample, qhat_prime, qhat_second, reference_dcr,
+                     reference_dstar)
 
 P_REF = dict(gamma=0.0, eps1=0.5, alpha=1.0)
 EPS = np.finfo(float).eps
-
-
-def cube_sample(n, seed):
-    """n Params from the A5 cube: gamma in [-0.9, 0.9], eps1 in [0, 2],
-    alpha in [0.05, 3], at least 0.02 away from alpha_cr."""
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
-        p = make_params(*rng.uniform((-0.9, 0.0, 0.05), (0.9, 2.0, 3.0)))
-        if abs(p.alpha - p.alpha_cr) >= 0.02:
-            out.append(p)
-    return out
 
 
 # gamma near 2 with eps1 = 0 makes A = (1 - gamma/2)^2 tiny and both depths
@@ -174,7 +163,7 @@ class TestPolynomialRoots:
         return worst_cr / EPS, worst_star / EPS
 
     def test_backward_error_on_cube(self):
-        worst = self.worst_backward_errors(cube_sample(300, seed=11))
+        worst = self.worst_backward_errors(a5_cube_sample(300, seed=11))
         assert max(worst) <= 16.0, worst
 
     @pytest.mark.parametrize("gamma, eps1, alpha", EDGE_PARAMS)
@@ -190,7 +179,7 @@ class TestPolynomialRoots:
 
     def test_agrees_with_bracketing_oracle(self, monkeypatch):
         # the same verdicts as from brentq on the closed-form brackets
-        cube = cube_sample(10_000, seed=12)
+        cube = a5_cube_sample(10_000, seed=12)
         ours = [bore_verdict(p) for p in cube]
         monkeypatch.setattr(conjugate, "find_dcr", reference_dcr)
         monkeypatch.setattr(conjugate, "find_dstar", reference_dstar)

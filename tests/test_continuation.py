@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from ehdsolitary import (
     GridTooNarrow,
     NewtonConfig,
     NewtonError,
+    NodalReport,
     ValidationError,
     classify_stop,
     continue_branch,
@@ -374,6 +378,186 @@ def test_failed_eps_stage_regrid_moves_nothing(monkeypatch):
     assert corrector_grids[0] is third_grids[0]
 
 
+def _small_start(**cfg):
+    """gamma = 0, eps1 = 0.5 from eps = 0.05 on 256 points: the second point
+    halves the box to L = 64, the third refines it to N = 256, and the
+    arclength stage starts at the fifth point."""
+    cfg = ContinuationConfig(eps_start=0.05, **cfg)
+    return BaseParams(0.0, 0.5), make_grid(_auto_half_length(0.05, 0.5), 256), cfg
+
+
+def test_refine_committed_before_a_failed_round_moves_the_stage(monkeypatch):
+    # the third eps-stage point refines once and re-solves, then refines again
+    # and that re-solve fails: the first regrid has committed, so the
+    # arclength stage predicts on the refined grid along the refined secant
+    base, g, cfg = _small_start(max_points=3)
+    third = base.alpha_cr - cfg.eps_start * continuation.EPS_GROWTH ** 2
+    events, refined, predictors = [], [], []
+    solve, tail = continuation.newton_solve, continuation._mode_tail_fraction
+
+    def failing_second_refine(t1, p, grid, ncfg, tangent=None):
+        if tangent is not None:
+            predictors.append((grid, np.array(t1), p.alpha))
+        elif abs(p.alpha - third) < 1e-12:
+            if not events:
+                events.append("third")
+            elif events[-1] == "refine":
+                events.append("resolved")
+                refined.append(grid)
+            elif events[-1] == "refine again":
+                events.append("failed")
+                raise NewtonError("second re-solve failed")
+        return solve(t1, p, grid, ncfg, tangent=tangent)
+
+    def refining_twice(t1, grid):
+        if events in (["third"], ["third", "refine", "resolved"]):
+            events.append("refine" if len(events) == 1 else "refine again")
+            return 1.0
+        return tail(t1, grid)
+
+    monkeypatch.setattr(continuation, "newton_solve", failing_second_refine)
+    monkeypatch.setattr(continuation, "_mode_tail_fraction", refining_twice)
+    br = continue_branch(base, g, cfg)
+    assert events == ["third", "refine", "resolved", "refine again", "failed"]
+    assert br.stop_reason == "BUDGET" and len(br.points) == 3
+    first, second = br.solutions[:2]
+    assert second.grid.half_length == 0.5 * first.grid.half_length
+    assert refined[0].n_points == 2 * second.grid.n_points
+    grid, t_pred, alpha_pred = predictors[0]
+    assert grid is refined[0]
+    # the secant into the second point, on its box, refined with it
+    sec_t = second.t1 - shrink_grid(first.t1, first.grid)[0]
+    sec_a = second.params.alpha - first.params.alpha
+    prev_t = refine_grid(second.t1, second.grid)[0]
+    sec_t = refine_grid(sec_t, second.grid)[0]
+    along = (alpha_pred - second.params.alpha) / sec_a
+    assert along > 0.0
+    assert np.allclose(t_pred, prev_t + along * sec_t, rtol=0.0, atol=1e-14)
+
+
+def test_mode_budget_stops_on_step_failure(monkeypatch):
+    # a widening past N_MAX in the arclength stage ends the branch with the
+    # adaptation's message; no point beyond the budget is recorded
+    monkeypatch.setattr(continuation, "N_MAX", 256)
+    br = continue_branch(*_small_start(max_points=40))
+    assert br.stop_reason == "STEP_FAILURE"
+    assert re.fullmatch(r"box adaptation failed: tail \S+ above tolerance but "
+                        r"the mode budget n_max=256 is exhausted", br.note)
+    assert len(br.points) >= 5
+    assert all(s.grid.n_points <= 256 for s in br.solutions)
+
+
+def test_nodal_defect_stops_on_step_failure(monkeypatch):
+    # the third converged candidate fails the nodal check: it is not recorded
+    calls = []
+
+    def failing_third(state, **kwargs):
+        calls.append(state)
+        if len(calls) == 3:
+            return NodalReport(passed=False, x_tail=1.0,
+                               violations=[(1.0, 0.25), (0.5, 0.5)])
+        return nodal_check(state, **kwargs)
+
+    monkeypatch.setattr(continuation, "nodal_check", failing_third)
+    br = continue_branch(*_small_start(max_points=10))
+    assert br.stop_reason == "STEP_FAILURE"
+    assert br.note == "defect: nodal monotonicity failed at 2 sample(s)"
+    assert len(calls) == 3 and len(br.points) == len(br.solutions) == 2
+
+
+def _refine_in_place_from(monkeypatch, n_accepted):
+    """From the candidate after the n_accepted-th on, every adaptation round
+    asks for a refinement that leaves the grid as it is, so the box never
+    settles."""
+    accepted = []
+    check = continuation.nodal_check
+    tail, refine = continuation._mode_tail_fraction, continuation.refine_grid
+
+    def counting(state, **kwargs):
+        accepted.append(state)
+        return check(state, **kwargs)
+
+    def spinning(t1, grid):
+        return 1.0 if len(accepted) >= n_accepted else tail(t1, grid)
+
+    def in_place(t, grid):
+        return (t.copy(), grid) if len(accepted) >= n_accepted else refine(t, grid)
+
+    monkeypatch.setattr(continuation, "nodal_check", counting)
+    monkeypatch.setattr(continuation, "_mode_tail_fraction", spinning)
+    monkeypatch.setattr(continuation, "refine_grid", in_place)
+
+
+def test_unsettled_start_box_fails_the_branch_start(monkeypatch):
+    _refine_in_place_from(monkeypatch, 0)
+    with pytest.raises(NewtonError, match=r"^branch start failed at eps=0\.05: "
+                       r"box adaptation did not settle within 8 rounds$"):
+        continue_branch(*_small_start(max_points=2))
+
+
+def test_unsettled_box_stops_the_arclength_stage(monkeypatch):
+    # the sixth candidate is the arclength stage's second
+    _refine_in_place_from(monkeypatch, 5)
+    br = continue_branch(*_small_start(max_points=10))
+    assert br.stop_reason == "STEP_FAILURE"
+    assert br.note == "box adaptation failed: box adaptation did not settle within 8 rounds"
+    assert len(br.points) == 5
+
+
+@pytest.mark.parametrize("outcome", ["fails", "tail too large"])
+def test_rejected_halving_keeps_the_point_on_its_box(monkeypatch, outcome):
+    # every halving's re-solve fails, or converges with a tail above
+    # tail_tol: the point stays on its box, and no halving regrids the
+    # stored point or secant, so every shrink_grid call is one attempt
+    base, g, cfg = _small_start(max_points=6)
+    halved, attempts = [], []
+    solve, shrink = continuation.newton_solve, continuation.shrink_grid
+
+    def recording_shrink(t, grid):
+        out = shrink(t, grid)
+        if out is not None:
+            halved.append(out[1])
+        return out
+
+    def rejecting(t1, p, grid, ncfg, tangent=None):
+        if any(grid is h for h in halved):
+            attempts.append(grid)
+            if outcome == "fails":
+                raise NewtonError("halved re-solve failed")
+            return dataclasses.replace(solve(t1, p, grid, ncfg), tail=1.0)
+        return solve(t1, p, grid, ncfg, tangent=tangent)
+
+    monkeypatch.setattr(continuation, "shrink_grid", recording_shrink)
+    monkeypatch.setattr(continuation, "newton_solve", rejecting)
+    br = continue_branch(base, g, cfg)
+    assert br.stop_reason == "BUDGET" and len(br.points) == 6
+    assert len(attempts) == len(halved) >= 1
+    assert all(s.grid.half_length == g.half_length for s in br.solutions)
+
+
+@pytest.mark.parametrize("failing", ["corrector", "adaptation"])
+def test_failed_step_record_drops_the_traceback(monkeypatch, failing):
+    # the record outlives the handling of its failure until the next step
+    # returns; a traceback would keep the failed solve's frames, and with
+    # them its Jacobian and LU factors, alive through that step
+    base, g, cfg = _small_start()
+    calls = []
+    solve = continuation.newton_solve
+
+    def failing_solve(*args, **kwargs):
+        calls.append(args)
+        if failing == "corrector" or len(calls) > 1:
+            raise NewtonError(f"{failing} failed")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_solve", failing_solve)
+    monkeypatch.setattr(continuation, "_mode_tail_fraction", lambda t1, grid: 1.0)
+    rec = continuation._step(base, g, cfg, eps=cfg.eps_start)
+    assert str(rec.error) == f"{failing} failed"
+    assert rec.error.__traceback__ is None
+    assert (rec.sol is None) == (failing == "corrector") and rec.regrids == ()
+
+
 def test_narrow_start_box_raises_grid_too_narrow():
     # the first point's predictor checks its box; the error is not wrapped
     base = BaseParams(0.0, 0.5)
@@ -476,6 +660,19 @@ class TestClassifyStop:
                             make_params(0.0, 0.5, 1.0))
         assert rep.admissible is None
         assert not rep.discrepancy
+
+    def test_failed_box_adaptation_is_named(self):
+        # the stop every full branch ends on: the explanation names the cause
+        # before the note repeats the adaptation's message
+        from ehdsolitary import make_params
+        note = ("box adaptation failed: tail 1.46e-09 above tolerance but the "
+                "mode budget n_max=12288 is exhausted")
+        rep = classify_stop(self._branch("STEP_FAILURE", note),
+                            make_params(0.0, 0.5, 1.0))
+        assert rep.admissible is None and not rep.discrepancy
+        cause, _, rest = rep.explanation.partition(f" ({note})")
+        assert "box adaptation" in cause and "mode budget" in cause
+        assert rest == ""
 
 
 def test_corrector_points_are_not_resolved(monkeypatch):
