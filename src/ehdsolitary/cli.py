@@ -50,14 +50,16 @@ FIG4_LAUNCHES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 # derives a None default.  This one table gives the flags (--dest, its
 # underscores written as dashes), the keys a --config file may set and the
 # type each value is read with, the defaults, and the resolved values each
-# run records as its run_config.
+# run records as its run_config.  tol, eps_start and max_points default to
+# the library's NewtonConfig and ContinuationConfig.
 _PARAMS = {"gamma": (float, 0.0), "eps1": (float, 0.5)}
 _GRID = {"half_length": (float, None), "n_points": (int, 1024),
-         "tol": (float, 1e-11)}
+         "tol": (float, NewtonConfig.tol)}
 SETTINGS = {
     "dispersion": {**_PARAMS, "alpha": (float, None)},
     "solve": {**_PARAMS, "eps": (float, None), "alpha": (float, None), **_GRID},
-    "continue": {**_PARAMS, "eps_start": (float, 1e-3), "max_points": (int, 500),
+    "continue": {**_PARAMS, "eps_start": (float, ContinuationConfig.eps_start),
+                 "max_points": (int, ContinuationConfig.max_points),
                  **_GRID, "store_every": (int, 10)},
     "diagnose": {},
     "conjugate": {**_PARAMS, "alpha": (float, None)},
@@ -131,8 +133,7 @@ def cmd_dispersion(args) -> int:
     run_config = _settings(args)
     gamma, eps1, alpha = (run_config[k] for k in ("gamma", "eps1", "alpha"))
     if alpha is None:
-        print("dispersion: --alpha is required", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError("alpha", "--alpha is required")
     p = make_params(gamma, eps1, alpha)
 
     ks = np.linspace(0.0, 5.0, 26)
@@ -191,6 +192,8 @@ def cmd_solve(args) -> int:
 
 def cmd_continue(args) -> int:
     run_config = _settings(args, CONTINUE_THRESHOLDS)
+    if run_config["store_every"] < 0:
+        raise ValidationError("store_every", "must be >= 0 (0 writes no sidecars)")
     if run_config["half_length"] is None:
         run_config["half_length"] = _auto_half_length(run_config["eps_start"],
                                                       run_config["eps1"])
@@ -234,8 +237,7 @@ def cmd_continue(args) -> int:
 
 def cmd_diagnose(args) -> int:
     if args.input is None:
-        print("diagnose: --input FILE is required", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError("input", "--input FILE is required")
     sol, run_config, _ = load_solution(args.input)
     report = full_report(sol)
     bad = hard_violations(report)
@@ -273,8 +275,7 @@ def cmd_conjugate(args) -> int:
     run_config = _settings(args)
     gamma, eps1, alpha = (run_config[k] for k in ("gamma", "eps1", "alpha"))
     if alpha is None:
-        print("conjugate: --alpha is required", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError("alpha", "--alpha is required")
     p = make_params(gamma, eps1, alpha)
     rep = bore_verdict(p)
     print(f"critical depth      d_cr   = {rep.d_cr:.12g}")

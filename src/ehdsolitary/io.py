@@ -148,7 +148,7 @@ def save_branch(path, branch, run_config: dict, sidecar_every: int = 10) -> list
     """JSON-lines branch file: a header record, one record per accepted point,
     and a final stop record.  Every sidecar_every-th solution, and the last,
     is written as a full document in <stem>_solutions/ next to the branch
-    file; returns the sidecar paths."""
+    file; sidecar_every = 0 writes none.  Returns the sidecar paths."""
     path = Path(path)
     header = {
         "kind": "branch_header",

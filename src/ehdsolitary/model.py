@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -131,14 +130,13 @@ class Grid:
 
     @cached_property
     def level_symbols(self):
-        """spectral._level_multipliers at each of spectral.CACHED_LEVELS, a
-        read-only mapping from the height y to the pair (sinh(k y)/sinh k,
-        k cosh(k y)/sinh k); at y = 1 the pair is (1, dtn_symbol).  Other
-        heights are not cached."""
-        from .spectral import CACHED_LEVELS, _level_multipliers
-        return MappingProxyType({
-            y: tuple(_read_only(m) for m in _level_multipliers(self, y))
-            for y in CACHED_LEVELS})
+        """The interior multipliers (sinh(k y)/sinh k, k cosh(k y)/sinh k),
+        each a read-only (len(spectral.INTERIOR_LEVELS), N/2 + 1) array whose
+        row i is at height INTERIOR_LEVELS[i]."""
+        from .spectral import INTERIOR_LEVELS, _cosh_ratio, _sinh_ratio
+        return tuple(_read_only(np.array([ratio(self.wavenumbers, y)
+                                          for y in INTERIOR_LEVELS]))
+                     for ratio in (_sinh_ratio, _cosh_ratio))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -28,34 +28,21 @@ TRUNCATION_ORDER = 2  # quadratic truncation of the reduced right-hand side
 ESCAPE_FACTOR = 10.0  # an orbit with |Q| above this times q0 has escaped
 
 
-@dataclass(frozen=True)
-class OdeParams:
+class OdeParams(BaseParams):
     """(gamma, eps1) of the scaled system, which does not depend on eps."""
-    gamma: float
-    eps1: float
-
-    def __post_init__(self):
-        if self.eps1 < 0:
-            raise ValidationError("eps1", "must be >= 0")
-        # 3 - 3g + g^2 has negative discriminant, so the denominator is
-        # positive for every real gamma once eps1 >= 0
-        assert self.denom > 0
 
     @cached_property
     def q0(self) -> float:
         """Crest value of the localized orbit in scaled variables: the crest
         prefactor of the small-amplitude family."""
-        return small_amplitude_coefficients(BaseParams(self.gamma, self.eps1))[0]
-
-    @property
-    def denom(self) -> float:
-        """3 - 3 gamma + gamma^2 + 3 eps1."""
-        return 3.0 / self.q0
+        return small_amplitude_coefficients(self)[0]
 
     @cached_property
     def c2(self) -> float:
-        """Coefficient of the quadratic term, (3/2)(3 - 3 gamma + gamma^2 + 3 eps1)."""
-        return 1.5 * self.denom
+        """Coefficient of the quadratic term, (3/2)(3 - 3 gamma + gamma^2 + 3 eps1),
+        positive for every real gamma once eps1 >= 0: 3 - 3 gamma + gamma^2
+        has negative discriminant."""
+        return 1.5 * (3.0 / self.q0)
 
 
 def f_reduced(a: float, b: float, eps: float, p: OdeParams) -> float:

@@ -15,10 +15,9 @@ import numpy as np
 from .model import Grid
 
 CONJUGATE_MEAN_TOL = 1e-3   # conjugate_primitive warns above this input mean
-# Heights inside the strip where the pointwise checks sample, besides y = 1.
+# Heights inside the strip where the pointwise checks sample, besides y = 1;
+# their multipliers are cached on Grid (Grid.level_symbols).
 INTERIOR_LEVELS = (0.25, 0.5, 0.75)
-# Heights whose interior multipliers are cached on Grid (Grid.level_symbols).
-CACHED_LEVELS = (1.0,) + INTERIOR_LEVELS
 
 
 def _check_trace(t: np.ndarray, g: Grid) -> np.ndarray:
@@ -120,34 +119,14 @@ def eval_interior(t: np.ndarray, g: Grid, y: float) -> np.ndarray:
     return _apply_multiplier(_check_trace(t, g), _sinh_ratio(g.wavenumbers, y))
 
 
-def _level_multipliers(g: Grid, y: float):
-    """(sinh(k y)/sinh k, k cosh(k y)/sinh k) on g's wavenumbers, exactly
-    (1, g.dtn_symbol) at y = 1."""
-    k = g.wavenumbers
-    if y == 1.0:
-        return np.ones_like(k), g.dtn_symbol
-    return _sinh_ratio(k, y), _cosh_ratio(k, y)
-
-
-def _fields_from_spectrum(c: np.ndarray, t: np.ndarray, g: Grid, ys):
-    """The harmonic extension w of t and its derivatives w_x, w_y at each
-    height y of ys, from t's spectrum c: each of shape (len(ys),) + t.shape,
-    every transformed row in one stacked inverse transform.  The row at
-    y = 1 is exactly t, ddx(t) and dtn(t).  The multipliers at CACHED_LEVELS
-    are read from the grid; those at any other height are built per call."""
-    cx = c * g.ddx_symbol
-    mults = [g.level_symbols.get(y) or _level_multipliers(g, y) for y in ys]
-    interior = [sinh for y, (sinh, _) in zip(ys, mults) if y != 1.0]
-    rows = np.fft.irfft(np.stack([c * sinh for sinh in interior]
-                                 + [cx * sinh for sinh, _ in mults]
-                                 + [c * cosh for _, cosh in mults]),
+def _interior_fields(c: np.ndarray, g: Grid):
+    """The harmonic extension w and its derivatives w_x, w_y at the
+    INTERIOR_LEVELS heights of the trace whose spectrum is c, each of shape
+    (len(INTERIOR_LEVELS), N), from one stacked inverse transform."""
+    sinh, cosh = g.level_symbols
+    rows = np.fft.irfft(np.concatenate([c * sinh, c * g.ddx_symbol * sinh, c * cosh]),
                         n=g.n_points, axis=-1)
-    inner, w_x, w_y = np.split(rows, [len(interior), len(interior) + len(ys)])
-    w = np.empty((len(ys),) + t.shape)
-    inner = iter(inner)
-    for i, y in enumerate(ys):
-        w[i] = t if y == 1.0 else next(inner)
-    return w, w_x, w_y
+    return np.split(rows, 3)
 
 
 def conjugate_primitive(t: np.ndarray, g: Grid) -> np.ndarray:

@@ -22,8 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import Grid, Params
-from .spectral import (INTERIOR_LEVELS, _fields_from_spectrum, dtn_multiplier,
-                       surface_fields)
+from .spectral import INTERIOR_LEVELS, _interior_fields, dtn_multiplier, surface_fields
 
 
 class NonFiniteTrace(ArithmeticError):
@@ -84,8 +83,7 @@ class SurfaceState:
         INTERIOR_LEVELS, each of shape (1 + len(INTERIOR_LEVELS), N): the
         surface row is the state's own, the interior rows one inverse
         transform of t1_spectrum."""
-        interior = _fields_from_spectrum(self.t1_spectrum, self.t1, self.grid,
-                                         INTERIOR_LEVELS)
+        interior = _interior_fields(self.t1_spectrum, self.grid)
         return tuple(np.concatenate([surface[None], rows]) for surface, rows
                      in zip((self.t1, self.w1x, self.w1y), interior))
 

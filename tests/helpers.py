@@ -8,8 +8,8 @@ from ehdsolitary.diagnostics import _flow_force_spectra, _flow_force_stations
 from ehdsolitary.model import BaseParams, Grid, Params, make_params
 from ehdsolitary.reduced_ode import OdeParams, _rk4_step
 from ehdsolitary.spectral import (_apply_multiplier, _check_height, _check_trace,
-                                  _cosh_ratio, _fields_from_spectrum,
-                                  cosine_coefficients, ddx, dtn)
+                                  _cosh_ratio, _sinh_ratio, cosine_coefficients,
+                                  ddx, dtn)
 from ehdsolitary.system import (INTERIOR_LEVELS, SurfaceState, _require_finite,
                                 eliminated_t2, jacobian_apply)
 
@@ -52,16 +52,26 @@ def eval_interior_dy(t, g, y):
 def harmonic_fields(t, g, ys):
     """The harmonic extension w of t and its derivatives w_x, w_y at each
     height y of ys in [0, 1], each of shape (len(ys),) + t.shape, from one
-    forward and one inverse transform: the direct evaluation that
-    SurfaceState.level_fields reads from its cached spectrum.
+    forward and one inverse transform, with the sinh and cosh ratios built
+    fresh at every height: the direct evaluation that
+    SurfaceState.level_fields reads from its cached spectrum and the grid's
+    cached symbols.
 
     t may be a batch of traces on its leading axes.  The row at y = 1 is
-    exactly t, ddx(t) and dtn(t).  The multipliers at CACHED_LEVELS are read
-    from the grid; those at any other height are built per call.
+    exactly t, ddx(t) and dtn(t).
     """
     t = _check_trace(t, g)
     ys = [_check_height(y) for y in ys]
-    return _fields_from_spectrum(np.fft.rfft(t, axis=-1), t, g, ys)
+    k = g.wavenumbers
+    shape = (len(ys),) + (1,) * (t.ndim - 1) + (g.n_modes,)
+    sinh = np.reshape([_sinh_ratio(k, y) for y in ys], shape)
+    cosh = np.reshape([g.dtn_symbol if y == 1.0 else _cosh_ratio(k, y) for y in ys],
+                      shape)
+    c = np.fft.rfft(t, axis=-1)
+    w, w_x, w_y = np.fft.irfft(np.stack([c * sinh, c * g.ddx_symbol * sinh, c * cosh]),
+                               n=g.n_points, axis=-1)
+    w[np.equal(ys, 1.0)] = t
+    return w, w_x, w_y
 
 
 def homoclinic_exact(x, p: OdeParams):

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ehdsolitary import BaseParams, NewtonConfig, init_small, make_grid, make_params, newton_solve
+from ehdsolitary import (BaseParams, ContinuationConfig, NewtonConfig, init_small,
+                         make_grid, make_params, newton_solve)
 from ehdsolitary import cli
 from ehdsolitary.cli import SETTINGS, main
 from ehdsolitary.io import (
@@ -305,12 +306,32 @@ class TestCliOde:
     (["continue", "--max-points", "0", "--n-points", "256"], "max_points"),
     (["continue", "--max-points=-2", "--n-points", "256"], "max_points"),
     (["continue", "--eps-start", "0", "--n-points", "256"], "eps"),
+    (["continue", "--store-every=-1", "--n-points", "256"], "store_every"),
+    (["continue", "--store-every=-2", "--n-points", "256"], "store_every"),
     (["solve", "--eps", "0", "--n-points", "256"], "eps")])
 def test_out_of_range_settings_are_validation_errors(argv, field, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"validation error: {field}: ")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["dispersion", "--gamma", "0"], "alpha: --alpha is required"),
+    (["conjugate", "--gamma", "0"], "alpha: --alpha is required"),
+    (["diagnose"], "input: --input FILE is required")])
+def test_missing_required_setting_is_a_validation_error(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"validation error: {message}\n"
+    assert captured.out == ""
+
+
+def test_cli_defaults_are_the_library_defaults():
+    assert SETTINGS["continue"]["eps_start"][1] == ContinuationConfig().eps_start
+    assert SETTINGS["continue"]["max_points"][1] == ContinuationConfig().max_points
+    for command in ("solve", "continue"):
+        assert SETTINGS[command]["tol"][1] == NewtonConfig().tol
 
 
 class TestCliContinue:
@@ -329,6 +350,13 @@ class TestCliContinue:
         assert (tmp_path / "stop_report.json").exists()
         sidecars = list((tmp_path / "branch_solutions").glob("*.json"))
         assert sidecars
+
+    def test_store_every_zero_writes_no_sidecars(self, tmp_path):
+        rc = main(["continue", "--eps-start", "0.01", "--max-points", "2",
+                   "--n-points", "512", "--store-every", "0", "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(load_branch(tmp_path / "branch.jsonl")[0]) == 2
+        assert not (tmp_path / "branch_solutions").exists()
 
     def test_box_too_narrow_for_eps_start_exits_1(self, tmp_path, capsys):
         rc = main(["continue", "--gamma", "0", "--eps1", "0.5",

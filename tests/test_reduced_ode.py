@@ -40,8 +40,17 @@ class TestOdeParams:
     @given(gamma=st.floats(-3, 3), eps1=st.floats(0, 5))
     def test_denominator_positive(self, gamma, eps1):
         p = OdeParams(gamma, eps1)
-        assert p.denom > 0
+        assert p.c2 > 0
         assert p.q0 > 0
+
+    @pytest.mark.parametrize("gamma,eps1,field", [
+        (np.nan, 0.0, "gamma"), (np.inf, 0.0, "gamma"), (-np.inf, 0.5, "gamma"),
+        (0.0, -0.1, "eps1"), (0.0, np.nan, "eps1")])
+    def test_invalid_params_refused_at_construction(self, gamma, eps1, field):
+        # the BaseParams checks, before any coefficient is derived
+        with pytest.raises(ValidationError) as exc:
+            OdeParams(gamma, eps1)
+        assert exc.value.field_name == field
 
 
 class TestReducedRhs:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ehdsolitary import conjugate_primitive, ddx, dtn, eval_interior, make_grid
 from ehdsolitary.spectral import (
-    CACHED_LEVELS,
+    INTERIOR_LEVELS,
     _cosh_ratio,
     _cosine_weights,
     _ddx_multiplier,
@@ -293,28 +293,25 @@ class TestGridSymbols:
 
 
 class TestLevelSymbols:
-    """The interior multipliers cached on Grid: only the fixed heights, the
-    fresh values, built once per grid, read-only."""
+    """The interior multipliers cached on Grid: only the interior heights,
+    the fresh values, built once per grid, read-only."""
 
     def test_fixed_heights_only(self):
         g = make_grid(7.5, 64)
-        assert CACHED_LEVELS == (1.0, 0.25, 0.5, 0.75)
-        assert tuple(g.level_symbols) == CACHED_LEVELS
-        harmonic_fields(np.zeros(64), g, (0.3, 0.0))
-        assert tuple(g.level_symbols) == CACHED_LEVELS
+        assert INTERIOR_LEVELS == (0.25, 0.5, 0.75)
+        sinh, cosh = g.level_symbols
+        assert sinh.shape == cosh.shape == (len(INTERIOR_LEVELS), g.n_modes)
+        # no row at the surface y = 1, where sinh(k y)/sinh k is 1
+        assert not np.any(np.all(sinh == 1.0, axis=-1))
 
     @pytest.mark.parametrize("n", [16, 1024])
     def test_bit_equal_to_fresh_multipliers(self, n):
         g = make_grid(7.5, n)
         k = g.wavenumbers
-        for y in CACHED_LEVELS[1:]:
-            sinh, cosh = g.level_symbols[y]
-            assert np.array_equal(sinh, _sinh_ratio(k, y))
-            assert np.array_equal(cosh, _cosh_ratio(k, y))
-        sinh, cosh = g.level_symbols[1.0]
-        assert np.array_equal(sinh, _sinh_ratio(k, 1.0))
-        assert np.all(sinh == 1.0)
-        assert cosh is g.dtn_symbol
+        sinh, cosh = g.level_symbols
+        for i, y in enumerate(INTERIOR_LEVELS):
+            assert np.array_equal(sinh[i], _sinh_ratio(k, y))
+            assert np.array_equal(cosh[i], _cosh_ratio(k, y))
 
     def test_built_once_per_grid(self, monkeypatch):
         built = []
@@ -327,26 +324,22 @@ class TestLevelSymbols:
         monkeypatch.setattr(spectral, "_sinh_ratio", counting)
         g = make_grid(7.5, 64)
         t = random_even_trace(g, np.random.default_rng(13))
-        for _ in range(3):
-            harmonic_fields(t, g, CACHED_LEVELS)
+        fields = [spectral._interior_fields(np.fft.rfft(t), g) for _ in range(3)]
         assert g.level_symbols is g.level_symbols
-        assert sorted(built) == [0.25, 0.5, 0.75]
-        # any other height is built per call
-        for _ in range(2):
-            harmonic_fields(t, g, (0.3,))
-        assert built.count(0.3) == 2
+        assert built == list(INTERIOR_LEVELS)
+        for rows in fields[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(rows, fields[0]))
         make_grid(7.5, 64).level_symbols
-        assert len(built) == 8
+        assert built == 2 * list(INTERIOR_LEVELS)
 
     def test_read_only(self):
         g = make_grid(7.5, 64)
         with pytest.raises(TypeError):
-            g.level_symbols[0.3] = g.level_symbols[0.5]
-        for pair in g.level_symbols.values():
-            for arr in pair:
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[0] = 2.0
+            g.level_symbols[0] = g.level_symbols[1]
+        for arr in g.level_symbols:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 2.0
 
 
 class TestConjugatePrimitive:

@@ -18,7 +18,7 @@ from ehdsolitary import (
     residual,
 )
 from ehdsolitary.io import load_solution
-from ehdsolitary.spectral import CACHED_LEVELS, ddx, dtn, dtn_multiplier
+from ehdsolitary.spectral import INTERIOR_LEVELS, ddx, dtn, dtn_multiplier
 from ehdsolitary.system import NonFiniteTrace, SurfaceState, eliminated_t2
 from helpers import (
     count_transforms,
@@ -246,9 +246,11 @@ class TestSurfaceState:
 
     def test_level_fields_are_the_harmonic_fields(self, case):
         # the surface row is the state's, the interior rows its spectrum's
+        # times the grid's cached symbols; the oracle builds them afresh
         p, t1, _, _ = case
         state = SurfaceState(t1, p, self.G)
-        for got, ref in zip(state.level_fields, harmonic_fields(t1, self.G, CACHED_LEVELS)):
+        ys = (1.0,) + INTERIOR_LEVELS
+        for got, ref in zip(state.level_fields, harmonic_fields(t1, self.G, ys)):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     def test_monitors(self, case):
