@@ -205,7 +205,7 @@ def cmd_continue(args) -> int:
         **{k: run_config[k] for k in CONTINUE_THRESHOLDS if k in run_config})
 
     branch = continue_branch(base, g, cfg)
-    report = classify_stop(branch, base.with_alpha(branch.points[-1].alpha))
+    report = classify_stop(branch, base)
     print(f"branch: {len(branch.points)} accepted points, "
           f"stop_reason={branch.stop_reason}")
     print(f"classification [{report.gamma_case}]: {report.explanation}")

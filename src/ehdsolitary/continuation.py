@@ -142,6 +142,12 @@ class ContinuationConfig:
     def __post_init__(self):
         if self.max_points < 1:
             raise ValidationError("max_points", "must be >= 1")
+        for name in ("m1_tol", "m2_tol", "m3_cap", "f_cap", "tail_tol"):
+            value = getattr(self, name)
+            if name == "m1_tol" and value is None:
+                continue
+            if not (np.isfinite(value) and value > 0):
+                raise ValidationError(name, "must be finite and > 0")
 
     def resolved_m1_tol(self, eps1: float) -> float:
         return self.m1_tol if self.m1_tol is not None else 1e-2 * (1.0 + eps1)

@@ -149,6 +149,8 @@ def save_branch(path, branch, run_config: dict, sidecar_every: int = 10) -> list
     and a final stop record.  Every sidecar_every-th solution, and the last,
     is written as a full document in <stem>_solutions/ next to the branch
     file; sidecar_every = 0 writes none.  Returns the sidecar paths."""
+    if sidecar_every < 0:
+        raise ValueError(f"sidecar_every must be >= 0, got {sidecar_every}")
     path = Path(path)
     header = {
         "kind": "branch_header",

@@ -161,11 +161,6 @@ def reflect(values: np.ndarray) -> np.ndarray:
     return values[..., idx]
 
 
-def symmetrize(values: np.ndarray) -> np.ndarray:
-    """Project a trace onto its even part about x = 0."""
-    return 0.5 * (values + reflect(values))
-
-
 def symmetry_error(values: np.ndarray) -> float:
     """Sup-norm distance to the mirrored trace, relative to max magnitude."""
     scale = max(float(np.max(np.abs(values))), 1.0)

@@ -2,8 +2,9 @@
 fixed alpha and, bordered by an arclength row, as the pseudo-arclength
 corrector.
 
-The unknown is an even trace, represented by its cosine coefficients for the
-linear solves.  Every Newton step is one solve of the bordered system
+The unknown is the vector a of cosine coefficients of an even trace, so
+every iterate is even by construction; an iterate's trace is
+values_from_cosine(a).  Every Newton step is one solve of the bordered system
     [J  b      ] [da    ]     [R    ]
     [c  c_alpha] [dalpha] = - [n_val]
 (Keller's bordered Newton), b the cosine coefficients of dR/dalpha.  The
@@ -40,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import Grid, Params, WaveSolution, amplitude_of, symmetrize, tail_of
+from .model import Grid, Params, WaveSolution, amplitude_of, tail_of
 from .spectral import cosine_coefficients, values_from_cosine
 from .system import (
     NonFiniteTrace,
@@ -217,9 +218,9 @@ def _use_dense(cfg: NewtonConfig, g: Grid) -> bool:
 
 def _bordered_solver(state: SurfaceState, c: np.ndarray, c_alpha: float,
                      cfg: NewtonConfig):
-    """The linear step (r, n_val) -> (dt, dalpha) of the bordered system
+    """The linear step (r, n_val) -> (da, dalpha) of the bordered system
     [J b; c c_alpha] at state, b the cosine coefficients of the state's
-    dR/dalpha.
+    dR/dalpha and da those of the trace correction.
 
     Dense: one LU of the (M+1, M+1) matrix, reused by every call; J is
     written into its top-left block by dense_jacobian and the LU overwrites
@@ -265,7 +266,7 @@ def _bordered_solver(state: SurfaceState, c: np.ndarray, c_alpha: float,
         delta = solve(-np.append(cosine_coefficients(r, g), n_val))
         if not np.all(np.isfinite(delta)):
             raise SingularLinearSolve("bordered solve produced a non-finite update")
-        return values_from_cosine(delta[:m], g), float(delta[m])
+        return delta[:m], float(delta[m])
 
     return step
 
@@ -277,7 +278,8 @@ def solve_newton_step(t1_or_state, r: np.ndarray, p: Params, g: Grid,
     as the bordered system whose last row pins alpha (c = 0, c_alpha = 1,
     n_val = 0), so its dalpha is exactly 0."""
     state = SurfaceState.of(t1_or_state, p, g)
-    return _bordered_solver(state, np.zeros(g.n_modes), 1.0, cfg)(r, 0.0)[0]
+    da, _ = _bordered_solver(state, np.zeros(g.n_modes), 1.0, cfg)(r, 0.0)
+    return values_from_cosine(da, g)
 
 
 def _past_stagnation(state: SurfaceState) -> bool:
@@ -307,11 +309,12 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
     """Damped Newton iteration on the surface equation, at fixed alpha or,
     with tangent = (c, c_alpha), as the pseudo-arclength corrector.
 
-    Alpha is an unknown held by the row <c, a - a0> + c_alpha (alpha - alpha0)
-    = 0 through the initial point (a: cosine coefficients of the trace), and
-    the merit is max(|R|, |row|).  Without a tangent the row is pinned,
-    c = 0 and c_alpha = 1, so alpha stays fixed.  Every iterate is
-    re-symmetrized to even; candidates with stag <= 0 on the surface,
+    The unknowns are the cosine coefficients a of the trace, so every
+    iterate is even, and alpha, held by the row
+    <c, a - a0> + c_alpha (alpha - alpha0) = 0 through the initial point a0,
+    the coefficients of t1_init's even part; the merit is max(|R|, |row|).
+    Without a tangent the row is pinned, c = 0 and c_alpha = 1, so alpha
+    stays fixed.  Candidates with stag <= 0 on the surface,
     lambda <= 0, alpha outside (0, alpha_cr) or no merit decrease are
     rejected by backtracking, and an initial iterate with stag <= 0 or
     lambda <= 0 is refused.
@@ -329,9 +332,9 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
     if not p.alpha < p.alpha_cr:
         raise NewtonError(
             f"alpha={p.alpha} is not below alpha_cr={p.alpha_cr}; no solitary regime")
-    t = symmetrize(np.array(t1_init, dtype=float))
+    a0 = a = cosine_coefficients(t1_init, g)
     try:
-        state = SurfaceState(t, p, g)
+        state = SurfaceState(values_from_cosine(a, g), p, g)
     except NonFiniteTrace:
         state = None            # a non-finite iterate, whose lambda is nan
     if state is None or not _iterate_lambda(state) > 0:
@@ -339,12 +342,7 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
     if _past_stagnation(state):
         raise LeftAdmissibleSet("initial iterate has stag <= 0 on the surface")
     c, c_alpha = (np.zeros(g.n_modes), 1.0) if tangent is None else tangent
-    a0, alpha0 = cosine_coefficients(t, g), p.alpha
-
-    def arclength_row(t_spectrum, alpha):
-        return float(c @ (t_spectrum.real * g.cosine_weights - a0)
-                     + c_alpha * (alpha - alpha0))
-
+    alpha0 = p.alpha
     n_val = 0.0
     norm = float(np.max(np.abs(state.residual)))
     history = [norm]
@@ -357,7 +355,7 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
         fresh = step_of is None or not chord or norm > 0.25 * last_norm
         if fresh:
             step_of = _bordered_solver(state, c, c_alpha, cfg)
-        dt, d_alpha = step_of(state.residual, n_val)
+        da, d_alpha = step_of(state.residual, n_val)
         last_norm = norm
 
         step = 1.0
@@ -365,7 +363,8 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
         while step >= MIN_STEP:
             alpha = p.alpha + step * d_alpha
             try:
-                cand = symmetrize(t + step * dt)
+                a_c = a + step * da
+                cand = values_from_cosine(a_c, g)
                 if not np.all(np.isfinite(cand)):
                     raise NonFiniteTrace("candidate iterate")
                 if not 0.0 < alpha < p.alpha_cr:
@@ -380,10 +379,10 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
                 step *= DAMPING
                 continue
             saw_admissible = True
-            n_c = arclength_row(state_c.t1_spectrum, alpha)
+            n_c = float(c @ (a_c - a0) + c_alpha * (alpha - alpha0))
             normc = max(float(np.max(np.abs(state_c.residual))), abs(n_c))
             if normc < norm:
-                t, p, state, n_val, norm = cand, p_c, state_c, n_c, normc
+                a, p, state, n_val, norm = a_c, p_c, state_c, n_c, normc
                 history.append(norm)
                 accepted = True
                 break
@@ -399,10 +398,11 @@ def newton_solve(t1_init: np.ndarray, p: Params, g: Grid,
                 "no damped step stays in the admissible set "
                 "(lambda <= 0 or stag <= 0 on the surface)")
         raise NoConvergence(
-            f"damping stalled at residual {norm:.3e}", best_t1=t, history=history)
+            f"damping stalled at residual {norm:.3e}", best_t1=state.t1,
+            history=history)
 
     if norm <= cfg.tol:
         return build_solution(state, p, g, cfg.tol, history)
     raise NoConvergence(
         f"iteration budget exhausted at residual {norm:.3e}",
-        best_t1=t, history=history)
+        best_t1=state.t1, history=history)

@@ -48,10 +48,10 @@ class SurfaceState:
     stream = gamma (t1 + w1y + t1 w1y) + w2y + 1, gradsq = w1x^2 + (1 + w1y)^2
     and stag = 1 + eps1 - 2 alpha t1; t1_spectrum and t2_spectrum are the
     rffts of t1 and t2.  The residual is checked finite on construction.  A
-    Newton iterate builds one state, and its lambda, its arclength row and
-    every application of its linearization (jacobian_apply) read the state
-    instead of re-deriving the fields; so do an accepted branch point's
-    monitors, lambda and nodal check, and every check of the diagnostics.
+    Newton iterate builds one state, and its lambda and every application of
+    its linearization (jacobian_apply) read the state instead of re-deriving
+    the fields; so do an accepted branch point's monitors, lambda and nodal
+    check, and every check of the diagnostics.
     """
 
     def __init__(self, t1: np.ndarray, p: Params, g: Grid):

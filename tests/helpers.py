@@ -5,13 +5,18 @@ from scipy.optimize import brentq
 
 from ehdsolitary.conjugate import _EQ_TOL, _depth_coefficients
 from ehdsolitary.diagnostics import _flow_force_spectra, _flow_force_stations
-from ehdsolitary.model import BaseParams, Grid, Params, make_params
+from ehdsolitary.model import BaseParams, Grid, Params, make_params, reflect
 from ehdsolitary.reduced_ode import OdeParams, _rk4_step
 from ehdsolitary.spectral import (_apply_multiplier, _check_height, _check_trace,
                                   _cosh_ratio, _sinh_ratio, cosine_coefficients,
                                   ddx, dtn)
 from ehdsolitary.system import (INTERIOR_LEVELS, SurfaceState, _require_finite,
                                 eliminated_t2, jacobian_apply)
+
+
+def symmetrize(values: np.ndarray) -> np.ndarray:
+    """Project a trace onto its even part about x = 0."""
+    return 0.5 * (values + reflect(values))
 
 
 def random_even_trace(g, rng, n_modes=12, scale=1.0, decay=0.5):

@@ -152,6 +152,14 @@ def test_config_refuses_an_empty_point_budget(max_points):
     assert exc.value.field_name == "max_points"
 
 
+@pytest.mark.parametrize("field", ["m1_tol", "m2_tol", "m3_cap", "f_cap", "tail_tol"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_config_refuses_a_threshold_that_is_not_finite_and_positive(field, value):
+    with pytest.raises(ValidationError) as exc:
+        ContinuationConfig(**{field: value})
+    assert exc.value.field_name == field
+
+
 class TestContinueBranch:
     def test_budget_stop(self, short_branch):
         br, _ = short_branch

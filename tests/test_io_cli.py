@@ -122,6 +122,15 @@ class TestBranchPersistence:
             sol, _, _ = load_solution(p)
             assert np.array_equal(sol.t1, wave.t1)
 
+    @pytest.mark.parametrize("sidecar_every", [-1, -2])
+    def test_negative_sidecar_every_refused_before_writing(self, wave, tmp_path,
+                                                           sidecar_every):
+        from ehdsolitary.continuation import Branch
+        br = Branch(points=[], solutions=[wave] * 5, stop_reason="BUDGET")
+        with pytest.raises(ValueError, match="sidecar_every"):
+            save_branch(tmp_path / "branch.jsonl", br, {}, sidecar_every=sidecar_every)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPlotColumns:
     def test_format(self, tmp_path):
@@ -508,6 +517,42 @@ def test_continue_config_tunes_thresholds(tmp_path):
     assert header["thresholds"]["m2_tol"] == 0.005
     assert header["thresholds"]["tail_tol"] == 1e-8
 
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tail_tol", -1), ("tail_tol", 0), ("m2_tol", "nan"), ("m1_tol", -0.01),
+    ("m3_cap", "inf"), ("f_cap", 0)])
+def test_continue_config_refuses_bad_thresholds(tmp_path, capsys, field, value):
+    # a threshold that is not finite and > 0 would stall the box adaptation
+    # (tail_tol) or silently switch a monitor off and put NaN in the header
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"eps_start": 0.01, "max_points": 2,
+                               "n_points": 512, field: value}))
+    out = tmp_path / "out"
+    assert main(["continue", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"validation error: {field}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_continue_with_no_accepted_point(monkeypatch, tmp_path, capsys):
+    # the first converged point fails the nodal check, so the branch ends
+    # before any point is accepted
+    from ehdsolitary import continuation
+    from ehdsolitary.diagnostics import NodalReport
+    monkeypatch.setattr(continuation, "nodal_check", lambda *args, **kwargs:
+                        NodalReport(passed=False, x_tail=1.0, violations=[(1.0, 0.5)]))
+    rc = main(["continue", "--eps-start", "0.01", "--max-points", "2",
+               "--n-points", "512", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "Traceback" not in captured.err
+    assert "0 accepted points" in captured.out and "STEP_FAILURE" in captured.out
+    records = [json.loads(line)
+               for line in (tmp_path / "branch.jsonl").read_text().splitlines()]
+    assert [r["kind"] for r in records] == ["branch_header", "branch_end"]
+    assert records[-1]["n_points"] == 0
 
 def test_continue_config_rejects_unknown_keys(tmp_path, capsys):
     # step control is not configuration; a config that still sets it fails

@@ -10,7 +10,8 @@ from ehdsolitary import (
     make_grid,
     make_params,
 )
-from ehdsolitary.model import amplitude_of, reflect, symmetrize, symmetry_error, tail_of
+from ehdsolitary.model import amplitude_of, reflect, symmetry_error, tail_of
+from helpers import symmetrize
 
 
 class TestParams:

@@ -19,7 +19,7 @@ from ehdsolitary import (
 from ehdsolitary.continuation import refine_grid
 from ehdsolitary.io import load_solution
 from ehdsolitary.model import symmetry_error
-from ehdsolitary.spectral import cosine_coefficients
+from ehdsolitary.spectral import cosine_coefficients, values_from_cosine
 from ehdsolitary.system import residual
 from helpers import blockwise_bordered_lu, crest_state, reference_dense_jacobian
 from three_component import newton_solve_three_component
@@ -77,10 +77,12 @@ class TestNewtonSolve:
         h = sol.norm_history
         assert all(b < a for a, b in zip(h, h[1:]))
 
-    def test_iterates_even_symmetric(self, setup):
-        base, g = setup
-        t0, p = init_small(0.01, base, g)
-        sol = newton_solve(t0, p, g, NewtonConfig())
+    @pytest.mark.parametrize("solver", ["dense", "krylov"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.4])
+    def test_iterates_even_symmetric(self, setup, gamma, solver):
+        _, g = setup
+        t0, p = init_small(0.01, BaseParams(gamma, 0.5), g)
+        sol = newton_solve(t0, p, g, NewtonConfig(linear_solver=solver))
         assert symmetry_error(sol.t1) < 1e-12
 
     def test_krylov_path_agrees_with_dense(self, setup):
@@ -120,10 +122,10 @@ class TestPinnedBorder:
         state = system.SurfaceState(t0, p, g)
         cfg = NewtonConfig(linear_solver=solver)
         dt = newton.solve_newton_step(state, state.residual, p, g, cfg)
-        dt_b, d_alpha = newton._bordered_solver(
+        da, d_alpha = newton._bordered_solver(
             state, np.zeros(g.n_modes), 1.0, cfg)(state.residual, 0.0)
         assert d_alpha == 0.0
-        assert np.array_equal(dt, dt_b)
+        assert np.array_equal(dt, values_from_cosine(da, g))
         # and it is the Newton step J dt = -R
         defect = system.jacobian_apply(state, dt, p, g) + state.residual
         assert np.max(np.abs(defect)) <= 1e-8 * np.max(np.abs(state.residual))

@@ -8,7 +8,6 @@ ehdsolitary.system.
 import numpy as np
 
 from ehdsolitary import Grid, NewtonConfig, NoConvergence, Params, SingularLinearSolve
-from ehdsolitary.model import symmetrize
 from ehdsolitary.newton import DAMPING, MAX_ITER, MIN_STEP
 from ehdsolitary.spectral import (
     cosine_coefficients,
@@ -17,7 +16,7 @@ from ehdsolitary.spectral import (
     values_from_cosine,
 )
 from ehdsolitary.system import NonFiniteTrace, _require_finite
-from helpers import cosine_basis
+from helpers import cosine_basis, symmetrize
 
 
 def three_component_residual(t1, t2, t3, p: Params, g: Grid):
