@@ -11,12 +11,15 @@ values_from_cosine(a).  Every Newton step is one solve of the bordered system
 corrector's last row is the arclength constraint; a fixed-alpha solve pins
 alpha with c = 0, c_alpha = 1, n_val = 0, which gives dalpha = 0 exactly.
 The bordered system is solved by LU of the dense collocation matrix
-(deterministic, default for N <= DENSE_MAX_N) or by preconditioned GMRES on
-the same operator, matrix-free.  The dense matrix is assembled from the
-spectra of the linearization's pointwise coefficients, with no transform of
-basis traces.  The GMRES preconditioner freezes J's principal coefficient:
-a pointwise factor in x-space, then the uniform-stream multiplier; GMRES
-gives up after KRYLOV_MAXITER restarts, so a stagnating solve fails fast.
+(deterministic, default for N <= DENSE_MAX_N = 512) or by right-
+preconditioned restarted GMRES on the same operator, matrix-free
+(krylov_solve).  The dense matrix is assembled from the spectra of the
+linearization's pointwise coefficients, with no transform of basis traces.
+The GMRES preconditioner inverts J's whole principal symbol
+(c - a2 H) dtn, H the periodic Hilbert transform, with its coefficients
+frozen pointwise: (c + a2 H) / (c^2 + a2^2) in x-space, then the
+uniform-stream multiplier; GMRES gives up after KRYLOV_MAXITER restart
+cycles, so a stagnating solve fails fast.
 
 Each iterate, the initial one and every damped candidate, is one
 SurfaceState, which gives both its lambda and its residual; an accepted
@@ -24,24 +27,24 @@ candidate's state is handed to the dense assembly, the preconditioner and
 every GMRES matvec, so none of them re-derives the base fields of the
 iterate, and the converged state gives the solution's residual.
 
-SciPy's solvers are imported by the first linear step that needs them:
-scipy.linalg by the first dense LU, scipy.sparse.linalg by the first GMRES
-solve.  Importing this module loads no SciPy, so neither does a process that
-only reads solutions (diagnose, ode).  The names lu_factor, lu_solve, gmres
-and LinearOperator resolve through the module __getattr__ to SciPy's own
-functions, and the linear step looks them up on the module at every call,
-so a rebinding of newton.lu_factor or newton.gmres is honoured.
+SciPy is imported by the first dense step: scipy.linalg, for its LU.  A
+Krylov step loads no SciPy, and importing this module loads none, so
+neither does a process that only reads solutions (diagnose, ode).  The
+names lu_factor, lu_solve and gmres resolve through the module __getattr__
+to SciPy's own functions, and the dense step looks them up on the module at
+every call, so a rebinding of newton.lu_factor is honoured.
 """
 from __future__ import annotations
 
 import importlib
+import math
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import Grid, Params, WaveSolution, amplitude_of, tail_of
+from .model import Grid, Params, ValidationError, WaveSolution, amplitude_of, tail_of
 from .spectral import cosine_coefficients, values_from_cosine
 from .system import (
     NonFiniteTrace,
@@ -53,14 +56,17 @@ from .system import (
 MAX_ITER = 40              # Newton steps per solve
 DAMPING = 0.5              # backtracking factor
 MIN_STEP = 2.0 ** -10      # smallest damped step tried
-DENSE_MAX_N = 1024         # linear_solver="auto" takes the dense LU up to this N
+DENSE_MAX_N = 512          # linear_solver="auto" takes the dense LU up to this N
 KRYLOV_RTOL = 1e-10
-KRYLOV_MAXITER = 15        # GMRES restarts of 20 inner iterations
+KRYLOV_MAXITER = 15        # GMRES restart cycles
+KRYLOV_RESTART = 20        # inner iterations per cycle
 
-# SciPy solver -> the submodule that defines it, imported on first access
+# SciPy solver -> the submodule that defines it, imported on first access.
+# No package code calls gmres any more (the Krylov step is krylov_solve);
+# the name stays because the benchmark's tracer wraps newton.gmres, through
+# getattr, when a traced run starts.
 _SCIPY_SOLVERS = {"lu_factor": "scipy.linalg", "lu_solve": "scipy.linalg",
-                  "gmres": "scipy.sparse.linalg",
-                  "LinearOperator": "scipy.sparse.linalg"}
+                  "gmres": "scipy.sparse.linalg"}
 _solvers = sys.modules[__name__]
 
 
@@ -102,8 +108,8 @@ class NewtonConfig:
     linear_solver: str = "auto"   # auto | dense | krylov
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValidationError("tol", "must be finite and > 0")
         if self.linear_solver not in ("auto", "dense", "krylov"):
             raise ValueError("linear_solver must be auto, dense or krylov")
 
@@ -191,23 +197,99 @@ def dense_jacobian(t1_or_state, p: Params, g: Grid,
 
 def _preconditioner(state: SurfaceState):
     """Approximate inverse of the principal part of J, on cosine
-    coefficients: the factor c_edge / c(x) in x-space, then the symbol
+    coefficients: c_edge (c + a2 H) / max(c^2 + a2^2, (1e-3 c_edge)^2) in
+    x-space, H the periodic Hilbert transform, then the symbol
     1/max(|m(k)|, floor).
 
     c = a1 + a3 a4 = -2 stag (1 + w1y) is J's coefficient of |k| at high
-    wavenumbers; it is c_edge = -2 (1 + eps1) where the wave has decayed and
-    shrinks at the crest as stag -> 0.  |m(k)| is floored at 1e-3 (1 + eps1)
-    near the bifurcation threshold, and |c| at 1e-3 |c_edge| where stag or
-    1 + w1y changes sign (stagnation, an overhang).
+    wavenumbers, and a2 ddx = -a2 H dtn has the same order, so the principal
+    part is (c - a2 H) dtn; since H^2 = -1, (c + a2 H) / (c^2 + a2^2) inverts
+    its first factor where the coefficients are frozen.  At gamma = 0,
+    c + i a2 = -2 stag (1 + w1y + i w1x).  c is c_edge = -2 (1 + eps1) where
+    the wave has decayed, and c^2 + a2^2 shrinks at the crest as stag -> 0;
+    it is floored at (1e-3 c_edge)^2 where stag vanishes, and |m(k)| at
+    1e-3 (1 + eps1) near the bifurcation threshold.  H acts on the trace
+    before the division; it is -i sign k on the modes, mean and Nyquist
+    zeroed, and its image comes out of the same stacked inverse transform
+    as the trace, so one application costs one inverse transform of two
+    rows and one forward transform.
     """
     p, g = state.params, state.grid
-    _, a1, _, a3, a4 = state.coefficients
+    _, a1, a2, a3, a4 = state.coefficients
     floor = 1e-3 * (1.0 + p.eps1)
     symbol = 1.0 / np.maximum(np.abs(linear_multiplier(g.wavenumbers, p)), floor)
     c = a1 + a3 * a4
     c_edge = -2.0 * (1.0 + p.eps1)
-    factor = c_edge / np.copysign(np.maximum(np.abs(c), 1e-3 * abs(c_edge)), c)
-    return lambda a: symbol * cosine_coefficients(factor * values_from_cosine(a, g), g)
+    scale = c_edge / np.maximum(c * c + a2 * a2, (1e-3 * c_edge) ** 2)
+    left, right = scale * c, scale * a2
+    hilbert = np.full(g.n_modes, -1j)
+    hilbert[0] = hilbert[-1] = 0.0
+
+    def precondition(a):
+        spectrum = a / g.cosine_weights
+        u, hu = np.fft.irfft(np.stack([spectrum, hilbert * spectrum]), n=g.n_points, axis=-1)
+        return symbol * cosine_coefficients(left * u + right * hu, g)
+
+    return precondition
+
+
+def krylov_solve(apply, precondition, rhs: np.ndarray):
+    """Right-preconditioned restarted GMRES for A x = rhs, A = apply and
+    M = precondition: x = M y, y minimizing ||rhs - A M y|| over the Krylov
+    space of A M, so the minimized residual is A's own.  Returns x once
+    ||rhs - A x|| <= KRYLOV_RTOL ||rhs||, or None if KRYLOV_MAXITER cycles
+    of at most KRYLOV_RESTART steps do not get there.
+
+    Arnoldi orthogonalizes by classical Gram-Schmidt applied twice, each
+    pass one product with the basis block; the Givens rotations that reduce
+    the Hessenberg matrix run on Python floats.  A cycle stops early when
+    the rotated residual estimate meets the tolerance, and every cycle ends
+    with the true residual, which confirms it or starts the next cycle.  A
+    cycle keeps its basis and its preconditioned directions, so x needs no
+    further application of M and memory is O(KRYLOV_RESTART) vectors.
+    """
+    target = KRYLOV_RTOL * float(np.linalg.norm(rhs))
+    x = np.zeros_like(rhs, dtype=float)
+    r, beta = rhs, float(np.linalg.norm(rhs))
+    basis = np.empty((KRYLOV_RESTART + 1, rhs.size))
+    directions = np.empty((KRYLOV_RESTART, rhs.size))
+    for _ in range(KRYLOV_MAXITER):
+        if beta <= target or not math.isfinite(beta):
+            break
+        basis[0] = r / beta
+        rotations, columns, e = [], [], [beta]
+        for j in range(KRYLOV_RESTART):
+            directions[j] = precondition(basis[j])
+            w = apply(directions[j])
+            head = basis[:j + 1]
+            h = head @ w
+            w = w - h @ head
+            again = head @ w
+            w -= again @ head
+            col = (h + again).tolist()
+            w_norm = float(np.linalg.norm(w))
+            for i, (cs, sn) in enumerate(rotations):
+                col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
+            diag = math.hypot(col[j], w_norm)
+            if not diag > 0:
+                break                 # A M is singular on this Krylov space
+            cs, sn = col[j] / diag, w_norm / diag
+            col[j] = diag
+            rotations.append((cs, sn))
+            columns.append(col)
+            e[j], e_next = cs * e[j], -sn * e[j]
+            e.append(e_next)
+            if abs(e_next) <= target or w_norm == 0.0:
+                break
+            basis[j + 1] = w / w_norm
+        k = len(columns)
+        y = [0.0] * k                 # R y = e by back substitution
+        for i in reversed(range(k)):
+            y[i] = (e[i] - sum(columns[l][i] * y[l] for l in range(i + 1, k))) / columns[i][i]
+        x = x + np.asarray(y) @ directions[:k]
+        r = rhs - apply(x)
+        beta = float(np.linalg.norm(r))
+    return x if beta <= target else None
 
 
 def _use_dense(cfg: NewtonConfig, g: Grid) -> bool:
@@ -224,10 +306,10 @@ def _bordered_solver(state: SurfaceState, c: np.ndarray, c_alpha: float,
 
     Dense: one LU of the (M+1, M+1) matrix, reused by every call; J is
     written into its top-left block by dense_jacobian and the LU overwrites
-    it.  Krylov: each call is one GMRES solve, matrix-free, so memory
-    stays O(N), of at most KRYLOV_MAXITER restarts; the preconditioner is
-    _preconditioner on the modes, one transform pair per application, and
-    passes the last (alpha) entry unchanged.  The bordered operator stays
+    it.  Krylov: each call is one krylov_solve, matrix-free, so memory
+    stays O(N), of at most KRYLOV_MAXITER restart cycles; every matvec is
+    one jacobian_apply on a trace, and the right preconditioner is
+    _preconditioner on the modes, passing the last (alpha) entry unchanged.  The bordered operator stays
     invertible at an alpha fold, where J is singular.
     """
     p, g = state.params, state.grid
@@ -246,20 +328,16 @@ def _bordered_solver(state: SurfaceState, c: np.ndarray, c_alpha: float,
     else:
         precondition = _preconditioner(state)
 
-        def matvec(x):
+        def apply(x):
             jx = cosine_coefficients(
                 jacobian_apply(state, values_from_cosine(x[:m], g), p, g), g)
             return np.append(jx + b * x[m], c @ x[:m] + c_alpha * x[m])
 
-        op = _solvers.LinearOperator((m + 1, m + 1), matvec=matvec)
-        pre = _solvers.LinearOperator((m + 1, m + 1), matvec=lambda a: np.append(
-            precondition(a[:m]), a[m]))
-
         def solve(rhs):
-            sol, info = _solvers.gmres(op, rhs, rtol=KRYLOV_RTOL, atol=0.0,
-                                       maxiter=KRYLOV_MAXITER, M=pre)
-            if info != 0:
-                raise SingularLinearSolve(f"preconditioned GMRES failed (info={info})")
+            sol = krylov_solve(apply, lambda y: np.append(precondition(y[:m]), y[m]), rhs)
+            if sol is None:
+                raise SingularLinearSolve(
+                    f"preconditioned GMRES did not converge in {KRYLOV_MAXITER} cycles")
             return sol
 
     def step(r, n_val):

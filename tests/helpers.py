@@ -255,10 +255,14 @@ def reference_dense_jacobian(t1_or_state, p: Params, g: Grid) -> np.ndarray:
 
 
 def blockwise_bordered_lu(state: SurfaceState, b, c, c_alpha):
-    """LU factors of the bordered matrix [J b; c c_alpha] at state, with J
-    summed term by term out of place in C order, the matrix joined by
-    np.block and factored by lu_factor on a copy: the bit-for-bit oracle of
-    the in-place dense step of newton."""
+    """LU factors of bordered_matrix(state, b, c, c_alpha), by lu_factor on a
+    copy: the bit-for-bit oracle of the in-place dense step of newton."""
+    return lu_factor(bordered_matrix(state, b, c, c_alpha))
+
+
+def bordered_matrix(state: SurfaceState, b, c, c_alpha) -> np.ndarray:
+    """The bordered matrix [J b; c c_alpha] at state, with J summed term by
+    term out of place in C order and the matrix joined by np.block."""
     p, g = state.params, state.grid
     m, n = g.n_modes, g.n_points
     spec = np.fft.rfft(np.stack(state.coefficients), axis=-1) * np.sign(g.cosine_weights)
@@ -276,8 +280,7 @@ def blockwise_bordered_lu(state: SurfaceState, b, c, c_alpha):
     jac *= half_w
     if p.gamma != 0.0:
         jac += (half_w * product(even[3])) @ (half_w * mu[:, None] * product(even[4]))
-    big = np.block([[jac, b[:, None]], [c[None, :], np.array([[c_alpha]])]])
-    return lu_factor(big)
+    return np.block([[jac, b[:, None]], [c[None, :], np.array([[c_alpha]])]])
 
 
 def reference_alpha_derivative(t1: np.ndarray, p: Params, g: Grid) -> np.ndarray:

@@ -317,7 +317,10 @@ class TestCliOde:
     (["continue", "--eps-start", "0", "--n-points", "256"], "eps"),
     (["solve", "--eps", "0", "--n-points", "256"], "eps"),
     (["continue", "--store-every=-1", "--n-points", "256"], "store_every"),
-    (["continue", "--store-every=-2", "--n-points", "256"], "store_every")])
+    (["continue", "--store-every=-2", "--n-points", "256"], "store_every"),
+    (["solve", "--eps", "0.01", "--tol", "inf", "--n-points", "256",
+      "--half-length", "200"], "tol"),
+    (["continue", "--tol", "inf", "--max-points", "2", "--n-points", "256"], "tol")])
 def test_out_of_range_settings_are_validation_errors(argv, field, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()

@@ -21,7 +21,8 @@ from ehdsolitary.io import load_solution
 from ehdsolitary.model import symmetry_error
 from ehdsolitary.spectral import cosine_coefficients, values_from_cosine
 from ehdsolitary.system import residual
-from helpers import blockwise_bordered_lu, crest_state, reference_dense_jacobian
+from helpers import (blockwise_bordered_lu, bordered_matrix, crest_state,
+                     reference_dense_jacobian)
 from three_component import newton_solve_three_component
 
 FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
@@ -140,7 +141,7 @@ class TestPinnedBorder:
 
 
 @pytest.mark.parametrize("field,value", [
-    ("tol", 0.0), ("tol", -1e-11), ("linear_solver", "lu"),
+    ("tol", 0.0), ("tol", -1e-11), ("tol", float("inf")), ("linear_solver", "lu"),
 ])
 def test_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
@@ -471,6 +472,58 @@ class TestDenseStep:
 
 
 class TestKrylovStep:
+    @staticmethod
+    def _state(case):
+        if case == "fixture-35":
+            sol, _, _ = load_solution(FIXTURES / "point_00035.json")
+            return system.SurfaceState(TestStateReuse.perturbed(sol.t1, sol.grid),
+                                       sol.params, sol.grid)
+        return crest_state(make_grid(64.0, 1024), 0.4, 0.5)
+
+    @pytest.mark.parametrize("case", ["fixture-35", "crest-gamma-0.4"])
+    def test_auto_step_at_n1024_matches_dense_solve(self, case):
+        # N = 1024 is above DENSE_MAX_N, so "auto" takes the Krylov step;
+        # with a nonzero border row and n_val it must solve the bordered
+        # system that the dense oracle solves
+        state = self._state(case)
+        p, g = state.params, state.grid
+        assert g.n_points == 1024 and not newton._use_dense(NewtonConfig(), g)
+        b = cosine_coefficients(state.alpha_derivative, g)
+        c, c_alpha, n_val = cosine_coefficients(state.t1, g), 0.3, 0.1
+        da, d_alpha = newton._bordered_solver(state, c, c_alpha, NewtonConfig())(
+            state.residual, n_val)
+        x = np.append(da, d_alpha)
+        rhs = -np.append(cosine_coefficients(state.residual, g), n_val)
+        expected = np.linalg.solve(bordered_matrix(state, b, c, c_alpha), rhs)
+        assert np.linalg.norm(x - expected) <= 1e-9 * np.linalg.norm(expected)
+        # the matrix-free residual meets the GMRES tolerance, up to the
+        # rounding of evaluating it once more
+        jx = cosine_coefficients(
+            system.jacobian_apply(state, values_from_cosine(da, g), p, g), g)
+        defect = np.append(jx + b * d_alpha, c @ da + c_alpha * d_alpha) - rhs
+        assert np.linalg.norm(defect) <= 2 * newton.KRYLOV_RTOL * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("index", [44, 46])
+    def test_principal_symbol_preconditioner_converges_in_one_cycle(self, index,
+                                                                    monkeypatch):
+        # fixture states 44 and 46 (N = 4096, 8192) carry the cut's stiffest
+        # crests; inverting the whole principal symbol takes 13 and 14
+        # applications, within one restart cycle, where freezing c alone took
+        # 24 and 25, and H with the wrong sign 32 and 41
+        sol, _, _ = load_solution(FIXTURES / f"point_{index:05d}.json")
+        p, g = sol.params, sol.grid
+        state = system.SurfaceState(TestStateReuse.perturbed(sol.t1, g), p, g)
+        applied = []
+
+        def counting_apply(*args):
+            applied.append(1)
+            return system.jacobian_apply(*args)
+
+        monkeypatch.setattr(newton, "jacobian_apply", counting_apply)
+        newton.solve_newton_step(state, state.residual, p, g,
+                                 NewtonConfig(linear_solver="krylov"))
+        assert len(applied) <= newton.KRYLOV_RESTART + 1
+
     def test_stagnating_solve_fails_within_the_cap(self, monkeypatch):
         # a zero border row (c = 0, c_alpha = 0) with n_val = 1 leaves the
         # bordered system without a solution, so GMRES cannot converge

@@ -426,21 +426,20 @@ assert not scipy_modules(), scipy_modules()
 
 g = make_grid(256.0, 512)
 t0, p = init_small(0.01, BaseParams(0.0, 0.5), g)
+newton_solve(t0, p, g, NewtonConfig(linear_solver="krylov"))
+assert not scipy_modules(), scipy_modules()
 newton_solve(t0, p, g, NewtonConfig())
 loaded = scipy_modules()
 assert "scipy.linalg" in loaded, loaded
 assert not any(m.startswith(("scipy.sparse", "scipy.optimize")) for m in loaded), loaded
-newton_solve(t0, p, g, NewtonConfig(linear_solver="krylov"))
-assert "scipy.sparse.linalg" in sys.modules
 """
 
 
 def test_read_side_loads_no_scipy():
     # a fresh interpreter: importing the package and the CLI module, loading
     # and checking a solution, integrating an orbit, the bore verdict and the
-    # conjugate command load no SciPy at all;
-    # the first dense step loads scipy.linalg alone, the first Krylov step
-    # scipy.sparse.linalg
+    # conjugate command load no SciPy at all, and neither does a Krylov
+    # solve; the first dense step loads scipy.linalg alone, no scipy.sparse
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
