@@ -248,9 +248,9 @@ def krylov_solve(apply, precondition, rhs: np.ndarray):
     cycle keeps its basis and its preconditioned directions, so x needs no
     further application of M and memory is O(KRYLOV_RESTART) vectors.
     """
-    target = KRYLOV_RTOL * float(np.linalg.norm(rhs))
-    x = np.zeros_like(rhs, dtype=float)
     r, beta = rhs, float(np.linalg.norm(rhs))
+    target = KRYLOV_RTOL * beta
+    x = np.zeros(rhs.size)
     basis = np.empty((KRYLOV_RESTART + 1, rhs.size))
     directions = np.empty((KRYLOV_RESTART, rhs.size))
     for _ in range(KRYLOV_MAXITER):
